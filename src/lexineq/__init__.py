@@ -78,6 +78,5 @@ from .oracle import (
 )
 from .normalize import classify_problem
 from .parser import SourceExpr, eval_expr, parse, parse_complex, parse_input, to_text
-from ._backend import backend_name, force_backend
 
 __version__ = "0.1.0"

@@ -1,11 +1,11 @@
-"""Vectorized numpy twins of the grid kernels in ``_kernels``.
+"""Grid evaluation: the vectorized numpy path over flat coordinate arrays.
 
-Every arithmetic expression here mirrors its scalar counterpart
-operation for operation (same multiplies, same adds, same division
-branches selected with ``np.where``), so results are bit-identical to
-the scalar and numba paths.  Complex dtype is deliberately avoided:
-numpy's own complex division rounds differently from the shared Smith
-helper.
+Every arithmetic expression here mirrors its scalar reference in
+``_kernels`` operation for operation (same multiplies, same adds, same
+division branches selected with ``np.where``), so results are
+bit-identical to the scalar path.  Complex dtype is deliberately
+avoided: numpy's own complex division rounds differently from the
+shared Smith helper.
 """
 
 from __future__ import annotations

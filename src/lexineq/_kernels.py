@@ -1,41 +1,13 @@
-"""Numeric core shared by every evaluation path.
+"""Scalar reference for every membership decision in the package.
 
-All membership decisions in the package bottom out in the plain-float
-helpers below.  The scalar API calls them directly, the numba lane
-compiles these exact functions with ``@njit``, and ``_numpy_backend``
-mirrors them expression-for-expression on arrays.  Keeping one
-expression tree per operation makes the three paths bit-identical,
-which the backend tests assert.
-
-Setting ``LEXINEQ_BACKEND=numpy`` skips the numba import entirely; the
-grid entry points in this module are then plain Python and must not be
-used for bulk work (``_backend`` routes around them).
+All membership decisions bottom out in the plain-float helpers below.
+The scalar API calls them directly, and ``_grid`` mirrors them
+expression-for-expression on numpy arrays.  Keeping one expression tree
+per operation makes the two paths bit-identical, which
+``tests/test_grid_equivalence.py`` asserts.
 """
 
 from __future__ import annotations
-
-import os
-
-import numpy as np
-
-_env_backend = os.environ.get("LEXINEQ_BACKEND", "").strip().lower()
-
-if _env_backend == "numpy":
-    _numba = None
-else:
-    try:
-        import numba as _numba
-    except ImportError:  # pragma: no cover - exercised only without numba
-        _numba = None
-
-HAVE_NUMBA = _numba is not None
-
-if HAVE_NUMBA:
-    def _jit(func):
-        return _numba.njit(cache=True)(func)
-else:
-    def _jit(func):
-        return func
 
 # Membership codes; they double as PGM pixel values.
 OUT = 0
@@ -50,7 +22,6 @@ KIND_INVERT = 3
 KIND_SQRT = 4
 
 
-@_jit
 def unrotate(wr, wi, c, s):
     """Multiply w by e^{-i theta}, with c = cos(theta), s = sin(theta)."""
     t1 = wr * c
@@ -60,7 +31,6 @@ def unrotate(wr, wi, c, s):
     return t1 + t2, t3 - t4
 
 
-@_jit
 def recip(wr, wi):
     """1 / w by Smith's method.  Pre: w != 0."""
     if abs(wr) >= abs(wi):
@@ -72,7 +42,6 @@ def recip(wr, wi):
     return t / d, -1.0 / d
 
 
-@_jit
 def cdiv(ar, ai, br, bi):
     """(ar + ai*i) / (br + bi*i) by Smith's method.  Pre: b != 0."""
     if abs(br) >= abs(bi):
@@ -84,13 +53,11 @@ def cdiv(ar, ai, br, bi):
     return (ar * t + ai) / d, (ai * t - ar) / d
 
 
-@_jit
 def csq(wr, wi):
     """w * w."""
     return wr * wr - wi * wi, wr * wi + wi * wr
 
 
-@_jit
 def halfplane_code(wr, wi, a1, a2):
     """Membership of w in the base half-plane anchored at a1 + a2*i.
 
@@ -102,7 +69,6 @@ def halfplane_code(wr, wi, a1, a2):
     return OUT
 
 
-@_jit
 def chain_pullback(kinds, pa, pb, wr, wi):
     """Walk a transform chain outermost-first, pulling the probe back.
 
@@ -131,7 +97,6 @@ def chain_pullback(kinds, pa, pb, wr, wi):
     return 1, wr, wi
 
 
-@_jit
 def chain_membership(a1, a2, kinds, pa, pb, wr, wi):
     """Pull the probe back through the chain; the base half-plane decides."""
     ok, wr, wi = chain_pullback(kinds, pa, pb, wr, wi)
@@ -140,16 +105,6 @@ def chain_membership(a1, a2, kinds, pa, pb, wr, wi):
     return halfplane_code(wr, wi, a1, a2)
 
 
-@_jit
-def region_grid(a1, a2, kinds, pa, pb, zr, zi):
-    n = zr.shape[0]
-    out = np.empty(n, dtype=np.uint8)
-    for p in range(n):
-        out[p] = chain_membership(a1, a2, kinds, pa, pb, zr[p], zi[p])
-    return out
-
-
-@_jit
 def tie_margin(dr, di):
     """Margin of the component that actually decides a half-plane test.
 
@@ -163,36 +118,6 @@ def tie_margin(dr, di):
     return abs(di)
 
 
-@_jit
-def region_grid_margin(a1, a2, kinds, pa, pb, zr, zi):
-    """Membership codes plus the region side's own boundary margins.
-
-    The margin is the deciding component of the pulled-back value
-    relative to the base anchor; poles report an infinite margin.
-    """
-    n = zr.shape[0]
-    codes = np.empty(n, dtype=np.uint8)
-    margins = np.empty(n, dtype=np.float64)
-    for p in range(n):
-        ok, wr, wi = chain_pullback(kinds, pa, pb, zr[p], zi[p])
-        if ok == 0:
-            codes[p] = POLE
-            margins[p] = np.inf
-        else:
-            codes[p] = halfplane_code(wr, wi, a1, a2)
-            margins[p] = tie_margin(wr - a1, wi - a2)
-    return codes, margins
-
-
-@_jit
-def value_code(vr, vi):
-    """In iff the evaluated left-hand value is >= 0 in dictionary order."""
-    if vr > 0.0 or (vr == 0.0 and vi >= 0.0):
-        return IN
-    return OUT
-
-
-@_jit
 def value_margin(vr, vi, eps):
     """Magnitude of the component that decides the comparison with 0.
 
@@ -207,13 +132,6 @@ def value_margin(vr, vi, eps):
     return abs(vi)
 
 
-@_jit
-def linear_value(ar, ai, br, bi, zr, zi):
-    """A*z - B."""
-    return ar * zr - ai * zi - br, ar * zi + ai * zr - bi
-
-
-@_jit
 def quadratic_value(ar, ai, br, bi, cr, ci, zr, zi):
     """A*z^2 + B*z + C."""
     sr, si = csq(zr, zi)
@@ -224,7 +142,6 @@ def quadratic_value(ar, ai, br, bi, cr, ci, zr, zi):
     return (t1r + t2r) + cr, (t1i + t2i) + ci
 
 
-@_jit
 def fractional_value(ar, ai, br, bi, cr, ci, dr, di, zr, zi):
     """(A*z + B) / (z + C) - D.  Pre: z != -C."""
     wr = zr + cr
@@ -233,63 +150,3 @@ def fractional_value(ar, ai, br, bi, cr, ci, dr, di, zr, zi):
     ni = ar * zi + ai * zr + bi
     qr, qi = cdiv(nr, ni, wr, wi)
     return qr - dr, qi - di
-
-
-@_jit
-def linear_grid(ar, ai, br, bi, zr, zi):
-    n = zr.shape[0]
-    codes = np.empty(n, dtype=np.uint8)
-    margins = np.empty(n, dtype=np.float64)
-    for p in range(n):
-        vr, vi = linear_value(ar, ai, br, bi, zr[p], zi[p])
-        codes[p] = value_code(vr, vi)
-        margins[p] = tie_margin(vr, vi)
-    return codes, margins
-
-
-@_jit
-def system_grid(ar, ai, br, bi, cr, ci, dr, di, zr, zi):
-    n = zr.shape[0]
-    codes = np.empty(n, dtype=np.uint8)
-    margins = np.empty(n, dtype=np.float64)
-    for p in range(n):
-        v1r, v1i = linear_value(ar, ai, br, bi, zr[p], zi[p])
-        v2r, v2i = linear_value(cr, ci, dr, di, zr[p], zi[p])
-        if value_code(v1r, v1i) == IN and value_code(v2r, v2i) == IN:
-            codes[p] = IN
-        else:
-            codes[p] = OUT
-        m1 = tie_margin(v1r, v1i)
-        m2 = tie_margin(v2r, v2i)
-        margins[p] = m1 if m1 < m2 else m2
-    return codes, margins
-
-
-@_jit
-def fractional_grid(ar, ai, br, bi, cr, ci, dr, di, zr, zi):
-    n = zr.shape[0]
-    codes = np.empty(n, dtype=np.uint8)
-    margins = np.empty(n, dtype=np.float64)
-    for p in range(n):
-        wr = zr[p] + cr
-        wi = zi[p] + ci
-        if wr == 0.0 and wi == 0.0:
-            codes[p] = POLE
-            margins[p] = np.inf
-            continue
-        vr, vi = fractional_value(ar, ai, br, bi, cr, ci, dr, di, zr[p], zi[p])
-        codes[p] = value_code(vr, vi)
-        margins[p] = tie_margin(vr, vi)
-    return codes, margins
-
-
-@_jit
-def quadratic_grid(ar, ai, br, bi, cr, ci, zr, zi):
-    n = zr.shape[0]
-    codes = np.empty(n, dtype=np.uint8)
-    margins = np.empty(n, dtype=np.float64)
-    for p in range(n):
-        vr, vi = quadratic_value(ar, ai, br, bi, cr, ci, zr[p], zi[p])
-        codes[p] = value_code(vr, vi)
-        margins[p] = tie_margin(vr, vi)
-    return codes, margins

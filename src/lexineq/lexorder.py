@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 
+from . import _kernels
+
 __all__ = [
     "Ordering",
     "Polar",
@@ -119,12 +121,10 @@ def complex_div(a: complex, b: complex) -> complex:
     """Complex division via Smith's scaled algorithm.
 
     Implemented explicitly (rather than deferring to ``a / b``) so the
-    scalar path and the array backends share one bit-for-bit expression
+    scalar path and the numpy grid path share one bit-for-bit expression
     tree.  Raises ZeroDivisionError for b = 0; region evaluation maps
     that to a pole.
     """
-    from . import _kernels
-
     if b.real == 0.0 and b.imag == 0.0:
         raise ZeroDivisionError("complex division by zero")
     re, im = _kernels.cdiv(a.real, a.imag, b.real, b.imag)

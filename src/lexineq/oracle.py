@@ -20,7 +20,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from . import _backend, _kernels
+from . import _grid, _kernels
 from .errors import PoleError
 from .lexorder import require_finite
 from .region import Membership, Region, membership_grid
@@ -227,22 +227,22 @@ def problem_grid(problem: InequalityProblem, zr: np.ndarray,
     zr = np.ascontiguousarray(zr, dtype=np.float64)
     zi = np.ascontiguousarray(zi, dtype=np.float64)
     if isinstance(problem, Linear):
-        return _backend.linear_grid(problem.a.real, problem.a.imag,
-                                    problem.b.real, problem.b.imag, zr, zi)
+        return _grid.linear_grid(problem.a.real, problem.a.imag,
+                                 problem.b.real, problem.b.imag, zr, zi)
     if isinstance(problem, LinearSystem):
-        return _backend.system_grid(problem.a.real, problem.a.imag,
-                                    problem.b.real, problem.b.imag,
-                                    problem.c.real, problem.c.imag,
-                                    problem.d.real, problem.d.imag, zr, zi)
+        return _grid.system_grid(problem.a.real, problem.a.imag,
+                                 problem.b.real, problem.b.imag,
+                                 problem.c.real, problem.c.imag,
+                                 problem.d.real, problem.d.imag, zr, zi)
     if isinstance(problem, Fractional):
-        return _backend.fractional_grid(problem.a.real, problem.a.imag,
-                                        problem.b.real, problem.b.imag,
-                                        problem.c.real, problem.c.imag,
-                                        problem.d.real, problem.d.imag, zr, zi)
+        return _grid.fractional_grid(problem.a.real, problem.a.imag,
+                                     problem.b.real, problem.b.imag,
+                                     problem.c.real, problem.c.imag,
+                                     problem.d.real, problem.d.imag, zr, zi)
     if isinstance(problem, Quadratic):
-        return _backend.quadratic_grid(problem.a.real, problem.a.imag,
-                                       problem.b.real, problem.b.imag,
-                                       problem.c.real, problem.c.imag, zr, zi)
+        return _grid.quadratic_grid(problem.a.real, problem.a.imag,
+                                    problem.b.real, problem.b.imag,
+                                    problem.c.real, problem.c.imag, zr, zi)
     raise TypeError(f"not an inequality problem: {problem!r}")
 
 

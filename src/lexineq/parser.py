@@ -15,6 +15,8 @@ either part) is folded into a single literal node, so printing a parsed
 tree and re-parsing it reproduces the tree exactly.  A ``<=`` input is
 normalized to ``>=`` by swapping the sides.  Two inequalities joined by
 ``&&`` form a system; :func:`parse_input` accepts both shapes.
+Parentheses and unary minus nest at most ``_Parser.MAX_DEPTH`` levels
+deep; deeper input is a :class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -163,10 +165,17 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
+    # Nesting limit: each '(' and each unary '-' counts one level.  A '('
+    # costs four parser frames and up to four frames in each later
+    # recursive walk of the tree (normalize, eval_expr, to_text), so 100
+    # levels stay well inside Python's default recursion limit of 1000.
+    MAX_DEPTH = 100
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def _peek(self) -> _Token:
         return self.tokens[self.i]
@@ -255,15 +264,26 @@ class _Parser:
             self._error(f"unsupported variable {name!r}; the only variable is Z", tok,
                         cls=MultipleVariablesError)
         if tok.kind == "op" and tok.text == "(":
+            self._descend(tok)
             inner = self.parse_expr()
             self._expect_op(")")
+            self.depth -= 1
             # parenthesized sign-adjusted literal, e.g. "(-3)" or "(-2i)"
             if isinstance(inner, Neg) and isinstance(inner.operand, Lit):
                 return Lit(-inner.operand.value)
             return inner
         if tok.kind == "op" and tok.text == "-":
-            return Neg(self.parse_primary())
+            self._descend(tok)
+            operand = self.parse_primary()
+            self.depth -= 1
+            return Neg(operand)
         self._error(f"expected a value, found {tok.text or 'end of input'!r}", tok)
+
+    def _descend(self, tok: _Token):
+        self.depth += 1
+        if self.depth > self.MAX_DEPTH:
+            self._error(f"expression nests deeper than {self.MAX_DEPTH} levels "
+                        "of parentheses and unary minus", tok)
 
 
 def _fuse_literal(acc: Expr, op: str, term: Expr) -> Lit | None:

@@ -20,7 +20,7 @@ from typing import Union
 
 import numpy as np
 
-from . import _backend, _kernels
+from . import _grid, _kernels
 from .errors import NonPositiveScaleError
 from .lexorder import require_finite
 
@@ -172,13 +172,13 @@ def contains(region: Region, w: complex) -> Membership:
 def membership_grid(region: Region, zr: np.ndarray, zi: np.ndarray) -> np.ndarray:
     """Vectorized :func:`contains` over flat coordinate arrays.
 
-    Returns uint8 codes (see :class:`Membership`); dispatches to the
-    active backend.
+    Returns uint8 codes (see :class:`Membership`), bit-identical to the
+    scalar path.
     """
     a1, a2, kinds, pa, pb = _encode(region)
     zr = np.ascontiguousarray(zr, dtype=np.float64)
     zi = np.ascontiguousarray(zi, dtype=np.float64)
-    return _backend.region_grid(a1, a2, kinds, pa, pb, zr, zi)
+    return _grid.region_grid(a1, a2, kinds, pa, pb, zr, zi)
 
 
 def apply_transform(region: Region, transform: Transform) -> Region:

@@ -22,10 +22,9 @@ from typing import Union
 
 import numpy as np
 
-from . import _kernels
+from . import _grid, _kernels
 from .errors import DegenerateFractionError, ZeroLeadingCoefficientError
 from .lexorder import complex_div, lex_le, polar_decompose, require_finite
-from . import _backend
 from .region import (
     Invert,
     Membership,
@@ -335,4 +334,4 @@ def solution_grid_margin(solution: SolutionSet, zr: np.ndarray,
 
 def _region_grid_margin(region: Region, zr, zi):
     a1, a2, kinds, pa, pb = _encode(region)
-    return _backend.region_grid_margin(a1, a2, kinds, pa, pb, zr, zi)
+    return _grid.region_grid_margin(a1, a2, kinds, pa, pb, zr, zi)

@@ -2,9 +2,9 @@
 
 Each test enforces its criterion at the stated tolerance, measures the
 stated runtime budget, and prints one PASS/FAIL line (run with
-``pytest tests/test_acceptance.py -s`` to see them).  Budgets assume
-warm jit kernels; the session fixture below compiles them once outside
-any timed section.
+``pytest tests/test_acceptance.py -s`` to see them).  Budgets assume a
+warm process; the module fixture below runs every grid path once
+outside any timed section.
 """
 
 import math
@@ -50,7 +50,7 @@ IN, OUT, POLE = Membership.IN, Membership.OUT, Membership.POLE
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    """Compile the grid kernels outside the timed sections."""
+    """Run every grid path once, outside the timed sections."""
     g = GridSpec(-1, 1, -1, 1, 3, 3)
     zr, zi = g.points()
     for p in (Linear(1 + 0j, 0j), LinearSystem(1 + 0j, 0j, 1j, 0j),

@@ -1,9 +1,14 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from exprgen import gen_source, probe
+from lexineq import cli
 from lexineq.errors import MultipleVariablesError, NonIntegerExponentError, ParseError
 from lexineq.parser import (
+    _Parser,
     Add,
     Div,
     Lit,
@@ -101,6 +106,54 @@ class TestParse:
     def test_negation_binds_inside_power(self):
         # grammar: factor := primary ('^' INT)?, primary := '-' primary | ...
         assert parse("-Z^2 >= 0").lhs == Pow(Neg(Var()), 2)
+
+
+LIMIT = _Parser.MAX_DEPTH
+
+
+def _nested(levels: int, pattern: str) -> str:
+    text = "Z"
+    for _ in range(levels):
+        text = pattern.format(text)
+    return text + " >= 1"
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("pattern, per_level", [
+        ("({})", 1),
+        ("-{}", 1),
+        ("-({})", 2),
+        # three tree nodes per '(': the deepest tree a level can build
+        ("({})^1*1+1", 1),
+    ])
+    def test_depth_at_limit_parses(self, capsys, pattern, per_level):
+        text = _nested(LIMIT // per_level, pattern)
+        src = parse(text)
+        eval_expr(src.lhs, 0.5 + 0.25j)
+        to_text(src.lhs)
+        assert cli.main(["solve", text]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("prefix", ["(", "-"])
+    def test_one_past_limit_is_parse_error_at_offending_byte(self, prefix):
+        closing = ")" * (LIMIT + 1) if prefix == "(" else ""
+        with pytest.raises(ParseError) as exc:
+            parse("1 + " + prefix * (LIMIT + 1) + "Z" + closing + " >= 1")
+        assert exc.value.offset == len("1 + ") + LIMIT
+        assert "nests deeper" in str(exc.value)
+
+    @pytest.mark.parametrize("text", [
+        _nested(LIMIT + 1, "({})"),
+        _nested(LIMIT + 1, "-{}"),
+        _nested(5000, "({})"),
+        _nested(5000, "-{}"),
+    ], ids=["parens-limit+1", "minus-limit+1", "parens-5000", "minus-5000"])
+    def test_cli_refuses_deep_nesting(self, text):
+        proc = subprocess.run([sys.executable, "-m", "lexineq", "solve", text],
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("lexineq: error:"), proc.stderr
 
 
 class TestParseInput:
