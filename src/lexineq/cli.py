@@ -142,6 +142,7 @@ def verification_to_json(report: oracle.VerificationReport) -> dict:
         "total": report.total,
         "skipped_boundary": report.skipped_boundary,
         "skipped_pole": report.skipped_pole,
+        "asserted": report.asserted,
         "mismatch_count": len(report.mismatches),
         "mismatches": [
             {"point": complex_to_json(m.point), "expected": m.expected.name.lower(),

@@ -100,6 +100,13 @@ def _to_rational(node: Expr) -> Rational:
         return _pmul(n1, d2), _pmul(d1, n2)
     if isinstance(node, Pow):
         n, d = _to_rational(node.base)
+        # Refuse before the loop, which runs exponent - 1 times.  It stays a
+        # left-to-right product: squaring would round the coefficients
+        # differently.
+        if max(_deg(n), _deg(d)) * node.exponent > _MAX_DEGREE:
+            raise UnsupportedFormError(
+                f"intermediate polynomial degree exceeds {_MAX_DEGREE}"
+            )
         rn, rd = n, d
         for _ in range(node.exponent - 1):
             rn = _pmul(rn, n)

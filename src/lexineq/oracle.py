@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .solver import (
 
 __all__ = [
     "DEFAULT_EPS",
+    "MAX_CELLS",
     "GridSpec",
     "Bitmap",
     "Mismatch",
@@ -49,6 +50,17 @@ __all__ = [
 ]
 
 DEFAULT_EPS = 1e-6
+
+# Largest grid accepted, in cells.  Evaluation needs one tile of float64
+# temporaries plus one byte per cell, but the PGM and CSV writers build
+# the whole file text as one string (2 and about 20-50 bytes per cell),
+# so the cap keeps a CSV under a gigabyte.
+MAX_CELLS = 1 << 24
+
+# Grid points evaluated at once.  Each tile's float64 temporaries (a dozen
+# or so arrays of this length) then stay in the L2 cache; 16384 points is
+# about 128 KiB per array.
+_TILE_POINTS = 16384
 
 
 @dataclass(frozen=True)
@@ -67,6 +79,9 @@ class GridSpec:
             raise ValueError("window bounds must satisfy re_min < re_max and im_min < im_max")
         if self.nx < 2 or self.ny < 2:
             raise ValueError("sample counts must be >= 2")
+        if self.nx * self.ny > MAX_CELLS:
+            raise ValueError(f"grid of {self.nx} x {self.ny} points exceeds the cap of "
+                             f"{MAX_CELLS} cells")
 
     def re_axis(self) -> np.ndarray:
         return _axis(self.re_min, self.re_max, self.nx)
@@ -81,6 +96,20 @@ class GridSpec:
         zr = np.tile(re, self.ny)
         zi = np.repeat(im, self.nx)
         return zr, zi
+
+    def tiles(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """The points of :meth:`points` in blocks of whole rows.
+
+        Yields ``(start, zr, zi)``, where ``start`` is the flat index of
+        the block's first point; concatenated in order, the blocks equal
+        :meth:`points` bit for bit.
+        """
+        re = self.re_axis()
+        im = self.im_axis()
+        rows = max(1, _TILE_POINTS // self.nx)
+        for r0 in range(0, self.ny, rows):
+            block = im[r0:r0 + rows]
+            yield r0 * self.nx, np.tile(re, block.shape[0]), np.repeat(block, self.nx)
 
     @property
     def cell_diagonal(self) -> float:
@@ -128,21 +157,29 @@ class Bitmap:
         so viewers show the plane with the usual orientation.
         """
         g = self.grid
-        rows = self.cells.reshape(g.ny, g.nx)
-        lines = ["P2", f"{g.nx} {g.ny}", "2"]
-        for i in range(g.ny - 1, -1, -1):
-            lines.append(" ".join(str(int(v)) for v in rows[i]))
-        return "\n".join(lines) + "\n"
+        # one byte per digit and one per separator: a space, or a newline
+        # after the last digit of a row
+        buf = np.full((g.ny, 2 * g.nx), ord(" "), dtype=np.uint8)
+        buf[:, 0::2] = self.cells.reshape(g.ny, g.nx)[::-1] + ord("0")
+        buf[:, -1] = ord("\n")
+        return f"P2\n{g.nx} {g.ny}\n2\n" + buf.tobytes().decode("ascii")
 
     def to_csv(self) -> str:
         """CSV with columns re,im,state; states are in/out/pole."""
         g = self.grid
-        zr, zi = g.points()
-        names = {_kernels.OUT: "out", _kernels.POLE: "pole", _kernels.IN: "in"}
-        lines = ["re,im,state"]
-        for x, y, c in zip(zr.tolist(), zi.tolist(), self.cells.tolist()):
-            lines.append(f"{x!r},{y!r},{names[c]}")
-        return "\n".join(lines) + "\n"
+        re_text = [repr(x) for x in g.re_axis().tolist()]
+        states = ("out\n", "pole\n", "in\n")  # indexed by code: OUT, POLE, IN = 0, 1, 2
+        # A row is re_0 + mid + (state_0 + re_1) + mid + ... + mid + state_last,
+        # with mid = ",im,": the middle pieces take 3 * (nx - 1) values.
+        joints = np.array([[s + r for r in re_text[1:]] for s in states], dtype=object)
+        cols = np.arange(g.nx - 1)
+        head = re_text[0]
+        rows = self.cells.reshape(g.ny, g.nx)
+        lines = ["re,im,state\n"]
+        for y, codes in zip(g.im_axis().tolist(), rows):
+            pieces = [head, *joints[codes[:-1], cols].tolist(), states[codes[-1]]]
+            lines.append(f",{y!r},".join(pieces))
+        return "".join(lines)
 
 
 class Mismatch(NamedTuple):
@@ -158,6 +195,11 @@ class VerificationReport:
     skipped_pole: int
     mismatches: tuple[Mismatch, ...]
     passed: bool
+
+    @property
+    def asserted(self) -> int:
+        """Probes whose membership was compared: neither boundary nor pole."""
+        return self.total - self.skipped_boundary - self.skipped_pole
 
 
 def _values(problem: InequalityProblem, z: complex) -> tuple[complex, ...]:
@@ -256,42 +298,51 @@ def verify(problem: InequalityProblem, solution: SolutionSet,
     compute the same mathematical quantity along different float paths,
     and on an exact tie of one path the other may legitimately carry a
     last-ulp residue of either sign.  Every other probe must match
-    exactly; mismatches are reported in grid order.
+    exactly; mismatches are reported in grid order.  The grid is swept
+    one tile of :meth:`GridSpec.tiles` at a time.
     """
     if grid is None:
         grid = default_grid()
     if not (eps > 0.0):
         raise ValueError("eps must be positive")
-    zr, zi = grid.points()
-    direct, margins_direct = problem_grid(problem, zr, zi)
-    got, margins_solution = solution_grid_margin(solution, zr, zi)
-    margins = np.minimum(margins_direct, margins_solution)
+    skipped_boundary = skipped_pole = 0
+    mismatches = []
+    for _, zr, zi in grid.tiles():
+        direct, margins_direct = problem_grid(problem, zr, zi)
+        got, margins_solution = solution_grid_margin(solution, zr, zi)
+        margins = np.minimum(margins_direct, margins_solution)
 
-    pole = direct == _kernels.POLE
-    boundary = ~pole & (margins < eps)
-    active = ~pole & ~boundary
-    bad = (active & (direct != got)) | (pole & (got != _kernels.POLE))
+        pole = direct == _kernels.POLE
+        boundary = ~pole & (margins < eps)
+        active = ~pole & ~boundary
+        bad = (active & (direct != got)) | (pole & (got != _kernels.POLE))
 
-    mismatches = tuple(
-        Mismatch(complex(zr[i], zi[i]), Membership(int(direct[i])), Membership(int(got[i])))
-        for i in np.nonzero(bad)[0]
-    )
+        skipped_boundary += int(np.count_nonzero(boundary))
+        skipped_pole += int(np.count_nonzero(pole))
+        mismatches.extend(
+            Mismatch(complex(zr[i], zi[i]), Membership(int(direct[i])), Membership(int(got[i])))
+            for i in np.nonzero(bad)[0]
+        )
     return VerificationReport(
-        total=int(zr.shape[0]),
-        skipped_boundary=int(np.count_nonzero(boundary)),
-        skipped_pole=int(np.count_nonzero(pole)),
-        mismatches=mismatches,
+        total=grid.nx * grid.ny,
+        skipped_boundary=skipped_boundary,
+        skipped_pole=skipped_pole,
+        mismatches=tuple(mismatches),
         passed=not mismatches,
     )
 
 
 def sample_raster(source: Union[Region, InequalityProblem], grid: GridSpec) -> Bitmap:
     """Evaluate membership of a region or inequality at every grid point."""
-    zr, zi = grid.points()
     if isinstance(source, Region):
-        cells = membership_grid(source, zr, zi)
+        def codes(zr, zi):
+            return membership_grid(source, zr, zi)
     elif isinstance(source, (Linear, LinearSystem, Fractional, Quadratic)):
-        cells, _ = problem_grid(source, zr, zi)
+        def codes(zr, zi):
+            return problem_grid(source, zr, zi)[0]
     else:
         raise TypeError(f"cannot rasterize {source!r}")
+    cells = np.empty(grid.nx * grid.ny, dtype=np.uint8)
+    for start, zr, zi in grid.tiles():
+        cells[start:start + zr.shape[0]] = codes(zr, zi)
     return Bitmap(grid=grid, cells=cells)

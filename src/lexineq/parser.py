@@ -16,7 +16,10 @@ tree and re-parsing it reproduces the tree exactly.  A ``<=`` input is
 normalized to ``>=`` by swapping the sides.  Two inequalities joined by
 ``&&`` form a system; :func:`parse_input` accepts both shapes.
 Parentheses and unary minus nest at most ``_Parser.MAX_DEPTH`` levels
-deep; deeper input is a :class:`ParseError`.
+deep, the expression tree of each side is at most ``_Parser.MAX_HEIGHT``
+nodes from root to leaf (a chain ``Z+Z+...+Z`` of n terms is n nodes
+deep), and exponent literals are at most ``MAX_EXPONENT``; input past any
+of these limits is a :class:`ParseError` at the offending byte.
 """
 
 from __future__ import annotations
@@ -47,7 +50,15 @@ __all__ = [
     "source_to_text",
     "eval_expr",
     "has_var",
+    "MAX_EXPONENT",
 ]
+
+# Largest exponent literal.  No polynomial the normalizer accepts has a
+# degree above 64, so only a constant base can use a larger exponent, and
+# raising a constant to 1024 already overflows unless its modulus is
+# below 2.  The cap bounds the multiply loops in normalization and
+# evaluation, which run ``exponent - 1`` times.
+MAX_EXPONENT = 1024
 
 
 def _clean_component(x: float) -> float:
@@ -170,6 +181,14 @@ class _Parser:
     # recursive walk of the tree (normalize, eval_expr, to_text), so 100
     # levels stay well inside Python's default recursion limit of 1000.
     MAX_DEPTH = 100
+    # Tree height limit: the walks of the tree (normalize, eval_expr,
+    # to_text) recurse once per node on a root-to-leaf path, and to_text
+    # once more per Pow and Neg node; each of those costs a nesting level,
+    # so at most MAX_DEPTH of them lie on a path.  A chain of binary
+    # operators builds a left-deep tree without any nesting, so height is
+    # limited on its own: 400 levels take about 500 frames in the deepest
+    # walk, half the default recursion limit.
+    MAX_HEIGHT = 400
 
     def __init__(self, text: str):
         self.text = text
@@ -195,56 +214,63 @@ class _Parser:
             self._error(f"expected {op!r}, found {tok.text or 'end of input'!r}", tok)
 
     def parse_inequality(self) -> SourceExpr:
-        lhs = self.parse_expr()
+        lhs, _ = self.parse_expr()
         tok = self._next()
         if tok.kind != "rel":
             self._error(f"expected '>=' or '<=', found {tok.text or 'end of input'!r}", tok)
-        rhs = self.parse_expr()
+        rhs, _ = self.parse_expr()
         if tok.text == "<=":
             lhs, rhs = rhs, lhs
         return SourceExpr(text=self.text, lhs=lhs, rhs=rhs, relation=">=")
 
-    def parse_expr(self) -> Expr:
-        acc = self.parse_term()
+    # The parse_* methods return (node, height): the number of nodes on the
+    # longest root-to-leaf path of the subtree.
+
+    def parse_expr(self) -> tuple[Expr, int]:
+        acc, height = self.parse_term()
         while True:
             tok = self._peek()
             if tok.kind == "op" and tok.text in "+-":
                 self._next()
-                term = self.parse_term()
+                term, term_height = self.parse_term()
                 fused = _fuse_literal(acc, tok.text, term)
                 if fused is not None:
-                    acc = fused
-                elif tok.text == "+":
-                    acc = Add(acc, term)
-                else:
-                    acc = Sub(acc, term)
+                    acc, height = fused, 1
+                    continue
+                height = self._grow(tok, max(height, term_height))
+                acc = Add(acc, term) if tok.text == "+" else Sub(acc, term)
             else:
-                return acc
+                return acc, height
 
-    def parse_term(self) -> Expr:
-        acc = self.parse_factor()
+    def parse_term(self) -> tuple[Expr, int]:
+        acc, height = self.parse_factor()
         while True:
             tok = self._peek()
             if tok.kind == "op" and tok.text in "*/":
                 self._next()
-                rhs = self.parse_factor()
+                rhs, rhs_height = self.parse_factor()
+                height = self._grow(tok, max(height, rhs_height))
                 acc = Mul(acc, rhs) if tok.text == "*" else Div(acc, rhs)
             else:
-                return acc
+                return acc, height
 
-    def parse_factor(self) -> Expr:
-        base = self.parse_primary()
+    def parse_factor(self) -> tuple[Expr, int]:
+        base, height = self.parse_primary()
         tok = self._peek()
         if tok.kind == "op" and tok.text == "^":
             self._next()
             exp = self._next()
-            if exp.kind != "num" or not exp.text.isdigit() or int(exp.text) < 1:
+            digits = exp.text.lstrip("0")
+            if exp.kind != "num" or not exp.text.isdigit() or not digits:
                 self._error("exponent must be a positive integer literal", exp,
                             cls=NonIntegerExponentError)
-            return Pow(base, int(exp.text))
-        return base
+            # compare lengths first: int() refuses strings of over 4300 digits
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                self._error(f"exponent exceeds the limit of {MAX_EXPONENT}", exp)
+            return Pow(base, int(digits)), self._grow(tok, height)
+        return base, height
 
-    def parse_primary(self) -> Expr:
+    def parse_primary(self) -> tuple[Expr, int]:
         tok = self._next()
         if tok.kind == "num":
             value = float(tok.text)
@@ -253,30 +279,30 @@ class _Parser:
             nxt = self._peek()
             if nxt.kind == "ident" and nxt.text in ("i", "I"):
                 self._next()
-                return Lit(complex(0.0, value))
-            return Lit(complex(value, 0.0))
+                return Lit(complex(0.0, value)), 1
+            return Lit(complex(value, 0.0)), 1
         if tok.kind == "ident":
             name = tok.text
             if name in ("i", "I"):
-                return Lit(1j)
+                return Lit(1j), 1
             if name.lower() == "z":
-                return Var()
+                return Var(), 1
             self._error(f"unsupported variable {name!r}; the only variable is Z", tok,
                         cls=MultipleVariablesError)
         if tok.kind == "op" and tok.text == "(":
             self._descend(tok)
-            inner = self.parse_expr()
+            inner, height = self.parse_expr()
             self._expect_op(")")
             self.depth -= 1
             # parenthesized sign-adjusted literal, e.g. "(-3)" or "(-2i)"
             if isinstance(inner, Neg) and isinstance(inner.operand, Lit):
-                return Lit(-inner.operand.value)
-            return inner
+                return Lit(-inner.operand.value), 1
+            return inner, height
         if tok.kind == "op" and tok.text == "-":
             self._descend(tok)
-            operand = self.parse_primary()
+            operand, height = self.parse_primary()
             self.depth -= 1
-            return Neg(operand)
+            return Neg(operand), self._grow(tok, height)
         self._error(f"expected a value, found {tok.text or 'end of input'!r}", tok)
 
     def _descend(self, tok: _Token):
@@ -284,6 +310,13 @@ class _Parser:
         if self.depth > self.MAX_DEPTH:
             self._error(f"expression nests deeper than {self.MAX_DEPTH} levels "
                         "of parentheses and unary minus", tok)
+
+    def _grow(self, tok: _Token, child_height: int) -> int:
+        """Height of a new node over children at most ``child_height`` high."""
+        if child_height >= self.MAX_HEIGHT:
+            self._error(f"expression tree is deeper than {self.MAX_HEIGHT} levels "
+                        "of operators", tok)
+        return child_height + 1
 
 
 def _fuse_literal(acc: Expr, op: str, term: Expr) -> Lit | None:
@@ -338,7 +371,7 @@ def parse_input(text: str) -> tuple[SourceExpr, ...]:
 def parse_complex(text: str) -> complex:
     """Parse a constant expression such as ``1+2i`` or ``-0.5i``."""
     parser = _Parser(text)
-    node = parser.parse_expr()
+    node, _ = parser.parse_expr()
     tail = parser._peek()
     if tail.kind != "end":
         parser._error(f"unexpected trailing input {tail.text!r}", tail)

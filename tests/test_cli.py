@@ -84,6 +84,28 @@ class TestSolve:
         assert doc["verification"]["mismatches"][0]["expected"] == "in"
 
 
+class TestVerificationJson:
+    def test_asserted_count(self, capsys):
+        status, out, _ = run(capsys, "solve", "1/Z >= 1", "--verify")
+        assert status == 0
+        v = json.loads(out)["verification"]
+        assert list(v)[:4] == ["total", "skipped_boundary", "skipped_pole", "asserted"]
+        assert v["asserted"] == v["total"] - v["skipped_boundary"] - v["skipped_pole"]
+        assert v["skipped_pole"] == 1
+
+
+class TestRasterLimits:
+    def test_oversized_grid_is_refused(self, capsys, tmp_path):
+        out_path = tmp_path / "big.pgm"
+        status, out, err = run(capsys, "raster", "Z >= 0", "--res", "100000,100000",
+                               "--out", str(out_path))
+        assert status == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("lexineq: error:")
+        assert str(oracle.MAX_CELLS) in lines[0]
+        assert not out_path.exists()
+
+
 class TestCheck:
     @pytest.mark.parametrize(
         "expr,at,expected",

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from exprgen import gen_source, gen_system, probe
+from lexineq import normalize
 from lexineq.errors import UnsupportedFormError
 from lexineq.normalize import classify_problem, classify_problem_ex, problem_kind
 from lexineq.oracle import _values
@@ -85,6 +86,30 @@ class TestClassify:
         assert problem_kind(LinearSystem(1 + 0j, 0j, 1j, 0j)) == "linear-system"
         assert problem_kind(Fractional(0j, 1 + 0j, 0j, 0j)) == "fractional"
         assert problem_kind(Quadratic(1 + 0j, 0j, 0j)) == "quadratic"
+
+
+class TestPowerDegreeCheck:
+    @pytest.mark.parametrize("text", ["(Z+1)^1024 >= 0", "(1/Z)^65 >= 1"])
+    def test_refused_before_expanding(self, monkeypatch, text):
+        calls = []
+        real = normalize._pmul
+        monkeypatch.setattr(normalize, "_pmul", lambda p, q: calls.append(1) or real(p, q))
+        with pytest.raises(UnsupportedFormError, match="degree exceeds 64"):
+            classify_problem(parse(text))
+        assert len(calls) < 8
+
+    def test_degree_at_cap_expands(self):
+        with pytest.raises(UnsupportedFormError, match="polynomial degree 64 is outside"):
+            classify_problem(parse("(Z^8)^8 >= 0"))
+
+    def test_constant_power_keeps_linear_product(self):
+        # the loop multiplies left to right; squaring would round differently
+        base = 1.1 + 0.3j
+        acc = base
+        for _ in range(36):
+            acc = acc * base
+        p = classify_problem(parse("(1.1+0.3i)^37 >= Z"))
+        assert p == Linear(-1 + 0j, -acc)
 
 
 def _problem_value(problem, z):

@@ -5,6 +5,7 @@ import pytest
 
 from lexineq.errors import PoleError
 from lexineq.oracle import (
+    MAX_CELLS,
     Bitmap,
     GridSpec,
     boundary_margin,
@@ -251,3 +252,30 @@ class TestProblemGrid:
             codes, _ = problem_grid(p, zr, zi)
             for k in range(zr.shape[0]):
                 assert codes[k] == int(eval_direct(p, complex(zr[k], zi[k])))
+
+
+class TestGridCap:
+    def test_cap_accepted(self):
+        side = math.isqrt(MAX_CELLS)
+        assert side * side == MAX_CELLS
+        GridSpec(0, 1, 0, 1, side, side)
+        GridSpec(0, 1, 0, 1, MAX_CELLS // 2, 2)
+
+    @pytest.mark.parametrize("nx, ny", [(4097, 4096), (MAX_CELLS // 2 + 1, 2), (100_000, 100_000)])
+    def test_past_cap_names_the_cap(self, nx, ny):
+        with pytest.raises(ValueError, match=str(MAX_CELLS)):
+            GridSpec(0, 1, 0, 1, nx, ny)
+
+
+class TestAsserted:
+    def test_no_skips_asserts_every_probe(self):
+        report = verify(Linear(1 + 0j, complex(1 / 3)), solve_linear(1 + 0j, complex(1 / 3)),
+                        GridSpec(-2, 2, -2, 2, 41, 41))
+        assert report.skipped_boundary == 0 and report.skipped_pole == 0
+        assert report.asserted == report.total == 41 * 41
+
+    def test_skips_are_subtracted(self):
+        p = Fractional(0j, 1 + 0j, 0j, 1 + 0j)
+        report = verify(p, solve(p), GridSpec(-2, 2, -2, 2, 41, 41))
+        assert report.skipped_pole == 1 and report.skipped_boundary > 0
+        assert report.asserted == report.total - report.skipped_boundary - report.skipped_pole

@@ -8,6 +8,7 @@ from exprgen import gen_source, probe
 from lexineq import cli
 from lexineq.errors import MultipleVariablesError, NonIntegerExponentError, ParseError
 from lexineq.parser import (
+    MAX_EXPONENT,
     _Parser,
     Add,
     Div,
@@ -154,6 +155,80 @@ class TestNestingLimit:
         assert proc.returncode == 1
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("lexineq: error:"), proc.stderr
+
+
+HEIGHT = _Parser.MAX_HEIGHT
+
+
+def _chain(op: str, terms: int) -> str:
+    return op.join(["Z"] * terms) + " >= 1"
+
+
+class TestChainLimit:
+    """A flat chain of binary operators counts one tree level per operator."""
+
+    @pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+    def test_chain_at_limit_parses(self, op):
+        src = parse(_chain(op, HEIGHT))
+        eval_expr(src.lhs, 0.5 + 0.25j)
+        to_text(src.lhs)
+
+    @pytest.mark.parametrize("text", [
+        _chain("+", HEIGHT),
+        # nesting and chains together: each of the 50 levels adds a negation,
+        # a power, a product and a sum over a 200-term chain
+        _nested(LIMIT // 2, "-({})^1*1+1").replace("Z", "+".join(["Z"] * (HEIGHT - 200)), 1),
+    ], ids=["sum-chain", "nested-chains"])
+    def test_deepest_trees_solve(self, capsys, text):
+        assert cli.main(["solve", text]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+    def test_one_past_limit_is_parse_error_at_operator(self, op):
+        with pytest.raises(ParseError) as exc:
+            parse(_chain(op, HEIGHT + 1))
+        assert exc.value.offset == len(_chain(op, HEIGHT)) - len(" >= 1")
+        assert "deeper than" in str(exc.value)
+
+    def test_limit_applies_to_subtrees(self):
+        # a chain inside parentheses raises the height of the enclosing chain
+        inner = "(" + "+".join(["Z"] * (HEIGHT - 1)) + ")"
+        parse(inner + "*Z >= 1")
+        with pytest.raises(ParseError) as exc:
+            parse(inner + "*Z*Z >= 1")
+        assert exc.value.offset == len(inner) + 2
+
+    def test_cli_refuses_thousand_term_chain(self):
+        proc = subprocess.run([sys.executable, "-m", "lexineq", "solve", _chain("+", 1000)],
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("lexineq: error:"), proc.stderr
+
+
+class TestExponentCap:
+    def test_cap_accepted(self):
+        assert parse(f"1^{MAX_EXPONENT} >= Z").lhs == Pow(Lit(1 + 0j), MAX_EXPONENT)
+
+    @pytest.mark.parametrize("exponent", [str(MAX_EXPONENT + 1), "3000000", "9" * 5000])
+    def test_past_cap_is_parse_error_at_exponent(self, exponent):
+        with pytest.raises(ParseError) as exc:
+            parse(f"2^{exponent} >= Z")
+        assert exc.value.offset == 2
+        assert str(MAX_EXPONENT) in str(exc.value)
+
+    def test_leading_zeros(self):
+        assert parse("Z^0002 >= 1").lhs == Pow(Var(), 2)
+        with pytest.raises(NonIntegerExponentError):
+            parse("Z^000 >= 1")
+
+    @pytest.mark.parametrize("text", ["2^3000000 >= Z", "(Z-Z+1)^3000000 >= Z"])
+    def test_cli_refuses_huge_exponents(self, text):
+        proc = subprocess.run([sys.executable, "-m", "lexineq", "solve", text],
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "exponent exceeds" in lines[0], proc.stderr
 
 
 class TestParseInput:

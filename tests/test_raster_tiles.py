@@ -1,0 +1,210 @@
+"""Tiled grid evaluation and the array PGM/CSV writers.
+
+The writers are checked byte for byte against the straightforward loop
+writers kept below as the reference, and the tiled ``sample_raster`` and
+``verify`` against whole-grid evaluation over ``GridSpec.points()``.
+"""
+
+import numpy as np
+import pytest
+
+from lexineq import _kernels, oracle
+from lexineq.oracle import (
+    Bitmap,
+    GridSpec,
+    Mismatch,
+    VerificationReport,
+    problem_grid,
+    sample_raster,
+    verify,
+)
+from lexineq.region import Membership, Region, Sqrt, membership_grid
+from lexineq.solver import (
+    Fractional,
+    Linear,
+    LinearSystem,
+    Quadratic,
+    solution_grid_margin,
+    solve,
+    solve_linear,
+)
+
+TILE = oracle._TILE_POINTS
+
+
+def reference_pgm(bitmap: Bitmap) -> str:
+    g = bitmap.grid
+    rows = bitmap.cells.reshape(g.ny, g.nx)
+    lines = ["P2", f"{g.nx} {g.ny}", "2"]
+    for i in range(g.ny - 1, -1, -1):
+        lines.append(" ".join(str(int(v)) for v in rows[i]))
+    return "\n".join(lines) + "\n"
+
+
+def reference_csv(bitmap: Bitmap) -> str:
+    zr, zi = bitmap.grid.points()
+    names = {_kernels.OUT: "out", _kernels.POLE: "pole", _kernels.IN: "in"}
+    lines = ["re,im,state"]
+    for x, y, c in zip(zr.tolist(), zi.tolist(), bitmap.cells.tolist()):
+        lines.append(f"{x!r},{y!r},{names[c]}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_raster(source, grid: GridSpec) -> np.ndarray:
+    zr, zi = grid.points()
+    if isinstance(source, Region):
+        return membership_grid(source, zr, zi)
+    return problem_grid(source, zr, zi)[0]
+
+
+def reference_verify(problem, solution, grid: GridSpec, eps=oracle.DEFAULT_EPS):
+    zr, zi = grid.points()
+    direct, margins_direct = problem_grid(problem, zr, zi)
+    got, margins_solution = solution_grid_margin(solution, zr, zi)
+    margins = np.minimum(margins_direct, margins_solution)
+    pole = direct == _kernels.POLE
+    boundary = ~pole & (margins < eps)
+    bad = (~pole & ~boundary & (direct != got)) | (pole & (got != _kernels.POLE))
+    mismatches = tuple(
+        Mismatch(complex(zr[i], zi[i]), Membership(int(direct[i])), Membership(int(got[i])))
+        for i in np.nonzero(bad)[0]
+    )
+    return VerificationReport(
+        total=int(zr.shape[0]),
+        skipped_boundary=int(np.count_nonzero(boundary)),
+        skipped_pole=int(np.count_nonzero(pole)),
+        mismatches=mismatches,
+        passed=not mismatches,
+    )
+
+
+# 1/(Z + 0.5 - 0.25i) >= 1: the pole -0.5 + 0.25i lies on the [-2, 2]^2 grids
+# below (steps of 0.25 and 0.125 through exact dyadic axis values).
+FRACTIONAL_POLE = Fractional(0j, 1 + 0j, 0.5 - 0.25j, 1 + 0j)
+
+PROBLEMS = [
+    Linear(1 - 0.5j, 0.25 + 0j),
+    LinearSystem(1 + 0j, -0.5 + 0j, 1j, 0.25 + 0j),
+    FRACTIONAL_POLE,
+    Quadratic(1 + 0j, 0.5j, -1 + 0j),
+]
+PROBLEM_IDS = ["linear", "system", "fractional-pole", "quadratic"]
+
+
+class TestWriters:
+    @pytest.mark.parametrize("nx, ny", [(2, 2), (2, 7), (9, 2), (17, 33), (33, 17)])
+    @pytest.mark.parametrize("problem", PROBLEMS, ids=PROBLEM_IDS)
+    def test_shapes_and_classes(self, problem, nx, ny):
+        bitmap = sample_raster(problem, GridSpec(-2, 2, -2, 2, nx, ny))
+        assert bitmap.to_pgm() == reference_pgm(bitmap)
+        assert bitmap.to_csv() == reference_csv(bitmap)
+
+    def test_all_three_states(self):
+        bitmap = sample_raster(FRACTIONAL_POLE, GridSpec(-2, 2, -2, 2, 17, 33))
+        assert set(bitmap.cells.tolist()) == {_kernels.OUT, _kernels.POLE, _kernels.IN}
+        assert bitmap.to_pgm() == reference_pgm(bitmap)
+        csv = bitmap.to_csv()
+        assert csv == reference_csv(bitmap)
+        assert ",pole\n" in csv
+
+    def test_long_float_reprs(self):
+        grid = GridSpec(-1 / 3, 2 / 3, -1 / 7, 1 / 3, 13, 11)
+        bitmap = sample_raster(Quadratic(1 + 0j, 0j, -0.1 + 0j), grid)
+        assert max(len(repr(x)) for x in grid.re_axis().tolist()) >= 18
+        assert bitmap.to_csv() == reference_csv(bitmap)
+        assert bitmap.to_pgm() == reference_pgm(bitmap)
+
+    @pytest.mark.parametrize("window, zero", [
+        ((-1.0, -0.0, -1.0, 1.0), "-0.0"),
+        ((-1.0, 0.0, 0.0, 1.0), "0.0"),
+        ((-1.0, 1.0, -1.0, -0.0), "-0.0"),
+    ])
+    def test_signed_zero_on_an_axis(self, window, zero):
+        grid = GridSpec(*window, 5, 3)
+        axes = grid.re_axis().tolist() + grid.im_axis().tolist()
+        assert zero in [repr(x) for x in axes]
+        bitmap = sample_raster(Linear(1 + 0j, 0j), grid)
+        assert bitmap.to_csv() == reference_csv(bitmap)
+        assert bitmap.to_pgm() == reference_pgm(bitmap)
+
+    def test_region_raster(self):
+        bitmap = sample_raster(Region(-1 + 0j, (Sqrt(),)), GridSpec(-2, 2, -2, 2, 41, 23))
+        assert bitmap.to_pgm() == reference_pgm(bitmap)
+        assert bitmap.to_csv() == reference_csv(bitmap)
+
+
+# Grid shapes against the tile size: ny not a multiple of the tile rows,
+# one row per tile (nx > _TILE_POINTS), and a grid that fits one tile.
+GRIDS = [
+    GridSpec(-2, 2, -2, 2, 1001, 2 * (TILE // 1001) + 3),
+    GridSpec(-2, 2, -2, 2, TILE + 1, 3),
+    GridSpec(-2, 2, -2, 2, 33, 17),
+]
+GRID_IDS = ["ragged-last-tile", "row-per-tile", "single-tile"]
+
+
+def test_grid_shapes_cover_the_tile_cases():
+    rows = [max(1, TILE // g.nx) for g in GRIDS]
+    assert GRIDS[0].ny % rows[0] != 0 and GRIDS[0].ny > rows[0]
+    assert GRIDS[1].nx > TILE and rows[1] == 1
+    assert GRIDS[2].ny <= rows[2]
+
+
+class TestTiling:
+    @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+    def test_tiles_concatenate_to_points(self, grid):
+        zr, zi = grid.points()
+        starts, tr, ti = [], [], []
+        for start, a, b in grid.tiles():
+            starts.append(start)
+            tr.append(a)
+            ti.append(b)
+            assert a.shape == b.shape and a.shape[0] % grid.nx == 0
+        assert starts == [0] + np.cumsum([a.shape[0] for a in tr])[:-1].tolist()
+        assert np.concatenate(tr).tobytes() == zr.tobytes()
+        assert np.concatenate(ti).tobytes() == zi.tobytes()
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+    @pytest.mark.parametrize("problem", PROBLEMS, ids=PROBLEM_IDS)
+    def test_sample_raster_matches_whole_grid(self, problem, grid):
+        bitmap = sample_raster(problem, grid)
+        assert bitmap.cells.dtype == np.uint8
+        assert np.array_equal(bitmap.cells, reference_raster(problem, grid))
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+    def test_region_raster_matches_whole_grid(self, grid):
+        region = Region(-1 + 0j, (Sqrt(),))
+        assert np.array_equal(sample_raster(region, grid).cells, reference_raster(region, grid))
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+    @pytest.mark.parametrize("problem", PROBLEMS, ids=PROBLEM_IDS)
+    def test_verify_matches_whole_grid(self, problem, grid):
+        solution = solve(problem)
+        report = verify(problem, solution, grid)
+        assert report == reference_verify(problem, solution, grid)
+        assert report.passed
+
+    def test_fractional_pole_is_counted_once(self):
+        grid = GridSpec(-2, 2, -2, 2, 33, 17)
+        report = verify(FRACTIONAL_POLE, solve(FRACTIONAL_POLE), grid)
+        assert report.skipped_pole == 1
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+    def test_wrong_solution_reports_every_mismatch_in_grid_order(self, grid):
+        # No axis value of these grids lies within eps of 1/3 or 4/3, so no
+        # probe is skipped and every probe with 1/3 < Re z < 4/3 is in
+        # directly and out of the wrong set.
+        problem = Linear(1 + 0j, complex(1 / 3))    # Z >= 1/3
+        wrong = solve_linear(1 + 0j, complex(4 / 3))  # Z >= 4/3
+        report = verify(problem, wrong, grid)
+        assert report == reference_verify(problem, wrong, grid)
+        assert not report.passed and report.skipped_boundary == 0
+        zr, zi = grid.points()
+        strip = (zr > 1 / 3) & (zr < 4 / 3)
+        assert len(report.mismatches) == np.count_nonzero(strip)
+        assert [m.point for m in report.mismatches] == [
+            complex(x, y) for x, y in zip(zr[strip].tolist(), zi[strip].tolist())
+        ]
+        assert {(m.expected, m.got) for m in report.mismatches} == {
+            (Membership.IN, Membership.OUT)
+        }
