@@ -29,7 +29,6 @@ from .lexorder import (
     lex_le,
     polar_decompose,
 )
-from .laws import LAW_IDS, LawReport, check_all, check_law, recheck
 from .region import (
     Disc,
     Generic,
@@ -80,3 +79,18 @@ from .normalize import classify_problem
 from .parser import SourceExpr, eval_expr, parse, parse_complex, parse_input, to_text
 
 __version__ = "0.1.0"
+
+# ``laws`` samples with numpy, which costs more start-up time than the rest
+# of the package; its names are bound on first access (PEP 562) so that
+# ``import lexineq`` and the scalar commands do not load numpy.
+_LAWS_NAMES = frozenset({"LAW_IDS", "LawReport", "check_all", "check_law", "recheck"})
+
+
+def __getattr__(name: str):
+    if name in _LAWS_NAMES:
+        from . import laws
+
+        value = getattr(laws, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

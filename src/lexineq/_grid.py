@@ -61,7 +61,7 @@ def _chain_pullback(kinds, pa, pb, zr, zi):
     wr = zr.astype(np.float64, copy=True)
     wi = zi.astype(np.float64, copy=True)
     pole = np.zeros(wr.shape, dtype=bool)
-    for k in range(kinds.shape[0] - 1, -1, -1):
+    for k in range(len(kinds) - 1, -1, -1):
         kind = kinds[k]
         if kind == KIND_ROTATE:
             c = pa[k]

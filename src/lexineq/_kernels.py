@@ -5,6 +5,10 @@ The scalar API calls them directly, and ``_grid`` mirrors them
 expression-for-expression on numpy arrays.  Keeping one expression tree
 per operation makes the two paths bit-identical, which
 ``tests/test_grid_equivalence.py`` asserts.
+
+Encoded chains (``region._encode``) are tuples of Python ints (kind
+codes) and Python floats (parameters), so this module and the scalar
+API run without numpy.
 """
 
 from __future__ import annotations
@@ -78,7 +82,7 @@ def chain_pullback(kinds, pa, pb, wr, wi):
     takes the reciprocal (pole at 0), radication squares.  Returns
     (ok, wr, wi); ok = 0 marks a pole.
     """
-    for k in range(kinds.shape[0] - 1, -1, -1):
+    for k in range(len(kinds) - 1, -1, -1):
         kind = kinds[k]
         if kind == KIND_ROTATE:
             wr, wi = unrotate(wr, wi, pa[k], pb[k])

@@ -18,9 +18,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import laws as laws_mod
 from . import oracle
 from .errors import LexineqError, ParseError
 from .normalize import classify_problem_ex, problem_kind
@@ -40,6 +39,9 @@ from .region import (
     classify,
 )
 from .solver import Fractional, Linear, LinearSystem, Quadratic, solve
+
+if TYPE_CHECKING:
+    from .laws import LawReport
 
 SCHEMA = "lexineq/1"
 
@@ -126,10 +128,12 @@ def solution_to_json(solution) -> dict:
     }
 
 
-def law_report_to_json(report: laws_mod.LawReport) -> dict:
+def law_report_to_json(report: LawReport) -> dict:
+    from .laws import is_law
+
     return {
         "law_id": report.law_id,
-        "is_law": laws_mod.is_law(report.law_id),
+        "is_law": is_law(report.law_id),
         "samples": report.samples,
         "outcome": report.outcome,
         "witness": None if report.witness is None
@@ -264,10 +268,13 @@ def _cmd_raster(args) -> int:
 
 
 def _cmd_laws(args) -> int:
-    reports = laws_mod.check_all(samples=args.samples, seed=args.seed)
+    # laws samples with numpy; importing it here keeps solve and check free of numpy
+    from .laws import all_as_expected, check_all
+
+    reports = check_all(samples=args.samples, seed=args.seed)
     payload = json.dumps([law_report_to_json(r) for r in reports], indent=2) + "\n"
     sys.stdout.write(payload)
-    return 0 if laws_mod.all_as_expected(reports) else 1
+    return 0 if all_as_expected(reports) else 1
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -24,7 +24,14 @@ import numpy as np
 from .errors import UnknownLawError
 from .lexorder import Ordering, lex_cmp, lex_le
 
-__all__ = ["LawReport", "LAW_IDS", "check_law", "check_all", "recheck", "is_law", "all_as_expected"]
+__all__ = ["LawReport", "LAW_IDS", "MAX_SAMPLES", "check_law", "check_all", "recheck", "is_law",
+           "all_as_expected"]
+
+# Largest sample count per law, checked before anything is allocated.  A
+# law holds up to about twenty float64 arrays of length n at once:
+# check_all peaks near 180 MB RSS at 2^20 samples, so the cap keeps it
+# near 0.6 GB.
+MAX_SAMPLES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -281,6 +288,8 @@ def check_law(law_id: str, samples: int = 10_000, seed: int = 0) -> LawReport:
         raise UnknownLawError(f"unknown law id {law_id!r}; known: {', '.join(LAW_IDS)}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples must be <= {MAX_SAMPLES} (laws.MAX_SAMPLES), got {samples}")
     law = _REGISTRY[law_id]
     rng = np.random.default_rng(seed)
     ok, tuples = law.vector_check(rng, samples)

@@ -11,6 +11,7 @@ exactly.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence, Union
 
 from .errors import UnsupportedFormError
@@ -115,6 +116,19 @@ def _to_rational(node: Expr) -> Rational:
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def _require_folded_finite(coeffs: Sequence[complex]) -> None:
+    """Refuse coefficients that constant folding pushed out of the float
+    range.  Literals are finite (the parser refuses overflowing ones), so
+    a non-finite coefficient means an intermediate product or quotient
+    overflowed, e.g. ``2^1024``."""
+    for c in coeffs:
+        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+            raise UnsupportedFormError(
+                "a constant overflows the float range (about 1.8e308) while the "
+                "coefficients are folded"
+            )
+
+
 def _coeff(p: Poly, k: int) -> complex:
     return p[k] if k < len(p) else 0j
 
@@ -145,6 +159,7 @@ def _fractional_from(num: Poly, den: Poly, d_const: complex) -> tuple[Fractional
     a = complex_div(_coeff(num, 1), scale)
     b = complex_div(_coeff(num, 0), scale)
     c = complex_div(_coeff(den, 0), scale)
+    _require_folded_finite((a, b, c, d_const))
     return Fractional(a, b, c, d_const), (scale if scale != 1 else None)
 
 
@@ -167,6 +182,8 @@ def _classify_single(src: SourceExpr) -> tuple[InequalityProblem, complex | None
         k = den[0]
         poly = [complex_div(c, k) for c in num]
         degree = _deg(poly)
+        if degree <= 2:
+            _require_folded_finite(poly)
         if degree <= 0:
             return Linear(0j, -_coeff(poly, 0)), None
         if degree == 1:

@@ -10,17 +10,20 @@ Probes too close to the order's decision boundary are excluded by a
 margin test rather than asserted: two different but mathematically
 equivalent float computations may legitimately round to different sides
 there.
+
+numpy is imported by the array functions only (grid axes, points and
+tiles, :class:`Bitmap` writers, :func:`problem_grid`, :func:`verify`,
+:func:`sample_raster`), so :func:`eval_direct`, :func:`boundary_margin`
+and the scalar commands built on them start without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Union
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Union
 
-import numpy as np
-
-from . import _grid, _kernels
+from . import _kernels
 from .errors import PoleError
 from .lexorder import require_finite
 from .region import Membership, Region, membership_grid
@@ -33,6 +36,9 @@ from .solver import (
     SolutionSet,
     solution_grid_margin,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DEFAULT_EPS",
@@ -91,6 +97,8 @@ class GridSpec:
 
     def points(self) -> tuple[np.ndarray, np.ndarray]:
         """Flat coordinate arrays, row-major: imaginary axis outer, real inner."""
+        import numpy as np
+
         re = self.re_axis()
         im = self.im_axis()
         zr = np.tile(re, self.ny)
@@ -104,6 +112,8 @@ class GridSpec:
         the block's first point; concatenated in order, the blocks equal
         :meth:`points` bit for bit.
         """
+        import numpy as np
+
         re = self.re_axis()
         im = self.im_axis()
         rows = max(1, _TILE_POINTS // self.nx)
@@ -126,6 +136,8 @@ def _axis(lo: float, hi: float, n: int) -> np.ndarray:
     grid (t = 0.5 is an exact binary value).  ``linspace`` does not
     guarantee that.
     """
+    import numpy as np
+
     t = np.arange(n, dtype=np.float64) / (n - 1)
     return lo * (1.0 - t) + hi * t
 
@@ -156,6 +168,8 @@ class Bitmap:
         Rows are written top-down (largest imaginary coordinate first)
         so viewers show the plane with the usual orientation.
         """
+        import numpy as np
+
         g = self.grid
         # one byte per digit and one per separator: a space, or a newline
         # after the last digit of a row
@@ -166,6 +180,8 @@ class Bitmap:
 
     def to_csv(self) -> str:
         """CSV with columns re,im,state; states are in/out/pole."""
+        import numpy as np
+
         g = self.grid
         re_text = [repr(x) for x in g.re_axis().tolist()]
         states = ("out\n", "pole\n", "in\n")  # indexed by code: OUT, POLE, IN = 0, 1, 2
@@ -266,6 +282,10 @@ def problem_grid(problem: InequalityProblem, zr: np.ndarray,
     rounding noise.  They drive :func:`verify`'s skipping; the public
     :func:`boundary_margin` keeps its eps-threshold contract.
     """
+    import numpy as np
+
+    from . import _grid
+
     zr = np.ascontiguousarray(zr, dtype=np.float64)
     zi = np.ascontiguousarray(zi, dtype=np.float64)
     if isinstance(problem, Linear):
@@ -301,6 +321,8 @@ def verify(problem: InequalityProblem, solution: SolutionSet,
     exactly; mismatches are reported in grid order.  The grid is swept
     one tile of :meth:`GridSpec.tiles` at a time.
     """
+    import numpy as np
+
     if grid is None:
         grid = default_grid()
     if not (eps > 0.0):
@@ -334,6 +356,8 @@ def verify(problem: InequalityProblem, solution: SolutionSet,
 
 def sample_raster(source: Union[Region, InequalityProblem], grid: GridSpec) -> Bitmap:
     """Evaluate membership of a region or inequality at every grid point."""
+    import numpy as np
+
     if isinstance(source, Region):
         def codes(zr, zi):
             return membership_grid(source, zr, zi)

@@ -16,13 +16,14 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-import numpy as np
-
-from . import _grid, _kernels
+from . import _kernels
 from .errors import NonPositiveScaleError
 from .lexorder import require_finite
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Membership",
@@ -140,33 +141,37 @@ class Region:
 
 @functools.lru_cache(maxsize=512)
 def _encode(region: Region):
-    """Pack a region into the flat arrays the kernels consume.
+    """Pack a region into the flat tuples the kernels consume.
 
+    Returns ``(a1, a2, kinds, pa, pb)``: the base anchor's coordinates,
+    then one transform kind code (a Python int) and two parameters
+    (Python floats) per step.  Plain tuples keep the scalar path free
+    of numpy; the grid path broadcasts the same floats over its arrays.
     Rotation angles are expanded to (cos, sin) once here, so every
     evaluation path sees the same trigonometric values.
     """
-    n = len(region.transforms)
-    kinds = np.empty(n, dtype=np.int64)
-    pa = np.zeros(n, dtype=np.float64)
-    pb = np.zeros(n, dtype=np.float64)
-    for i, t in enumerate(region.transforms):
-        kinds[i] = _KIND_CODE[type(t)]
+    kinds = []
+    pa = []
+    pb = []
+    for t in region.transforms:
+        a = b = 0.0
         if isinstance(t, Rotate):
-            pa[i] = math.cos(t.theta)
-            pb[i] = math.sin(t.theta)
+            a, b = math.cos(t.theta), math.sin(t.theta)
         elif isinstance(t, Scale):
-            pa[i] = t.r
+            a = float(t.r)
         elif isinstance(t, Translate):
-            pa[i] = t.offset.real
-            pb[i] = t.offset.imag
-    return region.base.real, region.base.imag, kinds, pa, pb
+            a, b = float(t.offset.real), float(t.offset.imag)
+        kinds.append(_KIND_CODE[type(t)])
+        pa.append(a)
+        pb.append(b)
+    return region.base.real, region.base.imag, tuple(kinds), tuple(pa), tuple(pb)
 
 
 def contains(region: Region, w: complex) -> Membership:
     """Decide membership of a single probe point by pullback."""
     require_finite(w, "probe point")
     a1, a2, kinds, pa, pb = _encode(region)
-    return Membership(int(_kernels.chain_membership(a1, a2, kinds, pa, pb, w.real, w.imag)))
+    return Membership(_kernels.chain_membership(a1, a2, kinds, pa, pb, w.real, w.imag))
 
 
 def membership_grid(region: Region, zr: np.ndarray, zi: np.ndarray) -> np.ndarray:
@@ -175,6 +180,10 @@ def membership_grid(region: Region, zr: np.ndarray, zi: np.ndarray) -> np.ndarra
     Returns uint8 codes (see :class:`Membership`), bit-identical to the
     scalar path.
     """
+    import numpy as np
+
+    from . import _grid
+
     a1, a2, kinds, pa, pb = _encode(region)
     zr = np.ascontiguousarray(zr, dtype=np.float64)
     zi = np.ascontiguousarray(zi, dtype=np.float64)

@@ -18,11 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-import numpy as np
-
-from . import _grid, _kernels
+from . import _kernels
 from .errors import DegenerateFractionError, ZeroLeadingCoefficientError
 from .lexorder import complex_div, lex_le, polar_decompose, require_finite
 from .region import (
@@ -36,6 +34,9 @@ from .region import (
     apply_transform,
     contains,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Linear",
@@ -307,6 +308,8 @@ def solution_grid_margin(solution: SolutionSet, zr: np.ndarray,
     intersection); constant solutions and pole points report an
     infinite margin.
     """
+    import numpy as np
+
     zr = np.ascontiguousarray(zr, dtype=np.float64)
     zi = np.ascontiguousarray(zi, dtype=np.float64)
     if solution.kind is SolutionKind.ALL:
@@ -333,5 +336,7 @@ def solution_grid_margin(solution: SolutionSet, zr: np.ndarray,
 
 
 def _region_grid_margin(region: Region, zr, zi):
+    from . import _grid
+
     a1, a2, kinds, pa, pb = _encode(region)
     return _grid.region_grid_margin(a1, a2, kinds, pa, pb, zr, zi)

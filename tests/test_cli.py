@@ -61,6 +61,13 @@ class TestSolve:
         assert status == 1
         assert "solvable" in err or "degree" in err
 
+    def test_folding_overflow_exit_code(self, capsys):
+        status, out, err = run(capsys, "solve", "2^1024 >= Z")
+        assert status == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("lexineq: error:")
+        assert "overflows the float range" in lines[0]
+
     def test_strict_degenerate(self, capsys):
         status, _, err = run(capsys, "solve", "(Z + 1)/(Z + 1) >= 0", "--strict")
         assert status == 1

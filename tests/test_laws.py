@@ -1,10 +1,13 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
 from lexineq.errors import UnknownLawError
 from lexineq.laws import (
     LAW_IDS,
+    MAX_SAMPLES,
     all_as_expected,
     check_all,
     check_law,
@@ -99,6 +102,24 @@ def test_unknown_law():
 def test_bad_samples():
     with pytest.raises(ValueError):
         check_law("Reflexivity", samples=0, seed=0)
+
+
+@pytest.mark.parametrize("samples", [MAX_SAMPLES + 1, 10_000_000_000_000])
+def test_samples_over_cap(samples):
+    # refused before any allocation: 10^13 samples would need tens of TiB
+    with pytest.raises(ValueError, match=f"<= {MAX_SAMPLES}"):
+        check_law("Reflexivity", samples=samples, seed=0)
+    with pytest.raises(ValueError, match=f"<= {MAX_SAMPLES}"):
+        check_all(samples=samples, seed=0)
+
+
+def test_cli_refuses_samples_over_cap():
+    proc = subprocess.run([sys.executable, "-m", "lexineq", "laws", "--samples", "10000000000000"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("lexineq: error:"), proc.stderr
+    assert str(MAX_SAMPLES) in lines[0]
 
 
 @pytest.mark.parametrize("law_id", GENUINE)

@@ -112,6 +112,30 @@ class TestPowerDegreeCheck:
         assert p == Linear(-1 + 0j, -acc)
 
 
+class TestFoldingOverflow:
+    @pytest.mark.parametrize("text", [
+        "2^1024 >= Z",
+        "(2^1024)*Z >= 1",
+        "Z^2 * 2^1024 >= 1",
+        "1/(Z + 2^1024) >= 1",
+        "1/(Z + 1) >= 2^1024",
+        "(1e300)*Z*(1e300) >= 1",
+        "(Z + 1e300)/(1e-300) >= 0",
+        "2^1024 >= Z && Z >= 0",
+    ], ids=["linear", "leading", "quadratic", "fraction-pole", "fraction-threshold",
+            "product", "quotient", "system"])
+    def test_non_finite_coefficient_is_refused(self, text):
+        with pytest.raises(UnsupportedFormError, match="overflows the float range"):
+            classify_problem(parse_input(text))
+
+    def test_largest_finite_power_is_kept(self):
+        assert classify_problem(parse("2^1023 >= Z")) == Linear(-1 + 0j, -(2.0 ** 1023) + 0j)
+
+    def test_degree_error_still_wins(self):
+        with pytest.raises(UnsupportedFormError, match="polynomial degree 3"):
+            classify_problem(parse("Z^3 * 2^1024 >= 1"))
+
+
 def _problem_value(problem, z):
     values = _values(problem, z)
     assert len(values) == 1
