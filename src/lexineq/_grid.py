@@ -1,155 +1,72 @@
-"""Grid evaluation: the vectorized numpy path over flat coordinate arrays.
+"""Grid evaluation: ``_kernels``' own arithmetic run on flat float64 arrays.
 
-Every arithmetic expression here mirrors its scalar reference in
-``_kernels`` operation for operation (same multiplies, same adds, same
-division branches selected with ``np.where``), so results are
-bit-identical to the scalar path.  Complex dtype is deliberately
-avoided: numpy's own complex division rounds differently from the
-shared Smith helper.
+The helpers in ``_kernels`` that do only ``+ - * /`` run unchanged on
+arrays, so this module adds only what arrays need: Smith's branch chosen
+lane by lane with ``np.where``, pole lanes kept in a mask, and values
+turned into membership codes and margins.  Results are bit-identical to
+the scalar path.  Complex dtype is deliberately avoided: numpy's own
+complex division rounds differently from the shared Smith helper.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._kernels import IN, OUT, POLE, KIND_ROTATE, KIND_SCALE, KIND_TRANSLATE, KIND_INVERT
+from . import _kernels
+from ._kernels import IN, OUT, POLE
 
 
-def _recip_arrays(wr, wi):
-    """Elementwise 1/w by Smith's method.  Pre: no (0, 0) lanes."""
+def cdiv(ar, ai, br, bi):
+    """Elementwise a / b: both Smith branches, one selected per lane.
+
+    Zero-b lanes come out as nan for the caller to mask.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
-        big = np.abs(wr) >= np.abs(wi)
-        t1 = wi / wr
-        d1 = wr + wi * t1
-        re1 = 1.0 / d1
-        im1 = -t1 / d1
-        t2 = wr / wi
-        d2 = wr * t2 + wi
-        re2 = t2 / d2
-        im2 = -1.0 / d2
-    return np.where(big, re1, re2), np.where(big, im1, im2)
+        wide = np.abs(br) >= np.abs(bi)
+        wr, wi = _kernels.cdiv_wide(ar, ai, br, bi)
+        tr, ti = _kernels.cdiv_tall(ar, ai, br, bi)
+    return np.where(wide, wr, tr), np.where(wide, wi, ti)
 
 
-def _cdiv_arrays(ar, ai, br, bi):
-    """Elementwise a/b by Smith's method.  Pre: no zero-b lanes."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        big = np.abs(br) >= np.abs(bi)
-        t1 = bi / br
-        d1 = br + bi * t1
-        re1 = (ar + ai * t1) / d1
-        im1 = (ai - ar * t1) / d1
-        t2 = br / bi
-        d2 = br * t2 + bi
-        re2 = (ar * t2 + ai) / d2
-        im2 = (ai * t2 - ar) / d2
-    return np.where(big, re1, re2), np.where(big, im1, im2)
+def tie_margin(dr, di):
+    """Elementwise :func:`_kernels.tie_margin`."""
+    return np.where(dr != 0.0, np.abs(dr), np.abs(di))
 
 
-def _csq_arrays(wr, wi):
-    return wr * wr - wi * wi, wr * wi + wi * wr
+def _finish(inside, margins, pole):
+    codes = np.where(inside, IN, OUT).astype(np.uint8)
+    codes[pole] = POLE
+    margins[pole] = np.inf
+    return codes, margins
 
 
-def _value_code(vr, vi):
-    return np.where((vr > 0.0) | ((vr == 0.0) & (vi >= 0.0)), IN, OUT).astype(np.uint8)
+def codes_margins(values, pole):
+    """Codes and margins of the conjunction "every value >= 0".
 
-
-def _tie_margin(vr, vi):
-    return np.where(vr != 0.0, np.abs(vr), np.abs(vi))
-
-
-def _chain_pullback(kinds, pa, pb, zr, zi):
-    wr = zr.astype(np.float64, copy=True)
-    wi = zi.astype(np.float64, copy=True)
-    pole = np.zeros(wr.shape, dtype=bool)
-    for k in range(len(kinds) - 1, -1, -1):
-        kind = kinds[k]
-        if kind == KIND_ROTATE:
-            c = pa[k]
-            s = pb[k]
-            t1 = wr * c
-            t2 = wi * s
-            t3 = wi * c
-            t4 = wr * s
-            wr = t1 + t2
-            wi = t3 - t4
-        elif kind == KIND_SCALE:
-            wr = wr / pa[k]
-            wi = wi / pa[k]
-        elif kind == KIND_TRANSLATE:
-            wr = wr - pa[k]
-            wi = wi - pb[k]
-        elif kind == KIND_INVERT:
-            zero = (wr == 0.0) & (wi == 0.0) & ~pole
-            pole |= zero
-            # park pole lanes on a harmless value; they are masked at the end
-            wr = np.where(zero, 1.0, wr)
-            wi = np.where(zero, 0.0, wi)
-            wr, wi = _recip_arrays(wr, wi)
-        else:
-            wr, wi = _csq_arrays(wr, wi)
-    return wr, wi, pole
+    ``values`` holds one ``(re, im)`` pair of arrays per constraint; the
+    margin is the smallest tie margin over them.  Lanes set in ``pole``
+    become POLE with an infinite margin.
+    """
+    (vr, vi), *rest = values
+    inside = _kernels.at_least(vr, vi, 0.0, 0.0)
+    margins = tie_margin(vr, vi)
+    for vr, vi in rest:
+        inside &= _kernels.at_least(vr, vi, 0.0, 0.0)
+        margins = np.minimum(margins, tie_margin(vr, vi))
+    return _finish(inside, margins, pole)
 
 
 def region_grid(a1, a2, kinds, pa, pb, zr, zi):
-    wr, wi, pole = _chain_pullback(kinds, pa, pb, zr, zi)
-    inside = (wr > a1) | ((wr == a1) & (wi >= a2))
-    codes = np.where(inside, IN, OUT).astype(np.uint8)
-    codes[pole] = POLE
-    return codes
+    """Codes and margins of an encoded region at every lane.
 
+    The margin is the tie margin of the pulled-back probe against the
+    base anchor; lanes that hit an inversion's pole are POLE.
+    """
+    pole = np.zeros(zr.shape, dtype=bool)
 
-def region_grid_margin(a1, a2, kinds, pa, pb, zr, zi):
-    wr, wi, pole = _chain_pullback(kinds, pa, pb, zr, zi)
-    inside = (wr > a1) | ((wr == a1) & (wi >= a2))
-    codes = np.where(inside, IN, OUT).astype(np.uint8)
-    codes[pole] = POLE
-    margins = _tie_margin(wr - a1, wi - a2)
-    margins[pole] = np.inf
-    return codes, margins
+    def invert(wr, wi):
+        pole[(wr == 0.0) & (wi == 0.0)] = True
+        return cdiv(1.0, 0.0, wr, wi)
 
-
-def linear_grid(ar, ai, br, bi, zr, zi):
-    vr = ar * zr - ai * zi - br
-    vi = ar * zi + ai * zr - bi
-    return _value_code(vr, vi), _tie_margin(vr, vi)
-
-
-def system_grid(ar, ai, br, bi, cr, ci, dr, di, zr, zi):
-    v1r = ar * zr - ai * zi - br
-    v1i = ar * zi + ai * zr - bi
-    v2r = cr * zr - ci * zi - dr
-    v2i = cr * zi + ci * zr - di
-    c1 = _value_code(v1r, v1i)
-    c2 = _value_code(v2r, v2i)
-    codes = np.where((c1 == IN) & (c2 == IN), IN, OUT).astype(np.uint8)
-    margins = np.minimum(_tie_margin(v1r, v1i), _tie_margin(v2r, v2i))
-    return codes, margins
-
-
-def fractional_grid(ar, ai, br, bi, cr, ci, dr, di, zr, zi):
-    wr = zr + cr
-    wi = zi + ci
-    pole = (wr == 0.0) & (wi == 0.0)
-    wr = np.where(pole, 1.0, wr)
-    wi = np.where(pole, 0.0, wi)
-    nr = ar * zr - ai * zi + br
-    ni = ar * zi + ai * zr + bi
-    qr, qi = _cdiv_arrays(nr, ni, wr, wi)
-    vr = qr - dr
-    vi = qi - di
-    codes = _value_code(vr, vi)
-    margins = _tie_margin(vr, vi)
-    codes[pole] = POLE
-    margins[pole] = np.inf
-    return codes, margins
-
-
-def quadratic_grid(ar, ai, br, bi, cr, ci, zr, zi):
-    sr, si = _csq_arrays(zr, zi)
-    t1r = ar * sr - ai * si
-    t1i = ar * si + ai * sr
-    t2r = br * zr - bi * zi
-    t2i = br * zi + bi * zr
-    vr = (t1r + t2r) + cr
-    vi = (t1i + t2i) + ci
-    return _value_code(vr, vi), _tie_margin(vr, vi)
+    wr, wi = _kernels.pull_back(kinds, pa, pb, zr, zi, invert)
+    return _finish(_kernels.at_least(wr, wi, a1, a2), tie_margin(wr - a1, wi - a2), pole)

@@ -1,9 +1,14 @@
 """Scalar reference for every membership decision in the package.
 
-All membership decisions bottom out in the plain-float helpers below.
-The scalar API calls them directly, and ``_grid`` mirrors them
-expression-for-expression on numpy arrays.  Keeping one expression tree
-per operation makes the two paths bit-identical, which
+All membership decisions bottom out in the helpers below.  Those that
+do only ``+ - * /`` and ``| &`` (``unrotate``, the Smith branches
+``cdiv_wide``/``cdiv_tall``, ``csq``, ``at_least``, ``linear_value``,
+``quadratic_value``, ``fractional_value`` and ``pull_back``) run
+unchanged on Python floats and on float64 arrays.  The scalar API calls
+them on floats; ``_grid`` calls the same functions on arrays and
+supplies only what arrays need: the Smith branch chosen with
+``np.where`` and pole lanes kept in a mask.  One expression tree per
+operation makes the two paths bit-identical, which
 ``tests/test_grid_equivalence.py`` asserts.
 
 Encoded chains (``region._encode``) are tuples of Python ints (kind
@@ -35,26 +40,25 @@ def unrotate(wr, wi, c, s):
     return t1 + t2, t3 - t4
 
 
-def recip(wr, wi):
-    """1 / w by Smith's method.  Pre: w != 0."""
-    if abs(wr) >= abs(wi):
-        t = wi / wr
-        d = wr + wi * t
-        return 1.0 / d, -t / d
-    t = wr / wi
-    d = wr * t + wi
-    return t / d, -1.0 / d
+def cdiv_wide(ar, ai, br, bi):
+    """Smith's branch of a / b for |br| >= |bi|."""
+    t = bi / br
+    d = br + bi * t
+    return (ar + ai * t) / d, (ai - ar * t) / d
+
+
+def cdiv_tall(ar, ai, br, bi):
+    """Smith's branch of a / b for |br| < |bi|."""
+    t = br / bi
+    d = br * t + bi
+    return (ar * t + ai) / d, (ai * t - ar) / d
 
 
 def cdiv(ar, ai, br, bi):
     """(ar + ai*i) / (br + bi*i) by Smith's method.  Pre: b != 0."""
     if abs(br) >= abs(bi):
-        t = bi / br
-        d = br + bi * t
-        return (ar + ai * t) / d, (ai - ar * t) / d
-    t = br / bi
-    d = br * t + bi
-    return (ar * t + ai) / d, (ai * t - ar) / d
+        return cdiv_wide(ar, ai, br, bi)
+    return cdiv_tall(ar, ai, br, bi)
 
 
 def csq(wr, wi):
@@ -62,25 +66,24 @@ def csq(wr, wi):
     return wr * wr - wi * wi, wr * wi + wi * wr
 
 
-def halfplane_code(wr, wi, a1, a2):
-    """Membership of w in the base half-plane anchored at a1 + a2*i.
+def at_least(wr, wi, a1, a2):
+    """w >= a1 + a2*i in dictionary order.
 
-    In means w >= anchor in dictionary order: open half-plane re > a1
-    plus the closed half-line {re = a1, im >= a2}.
+    True on the open half-plane re > a1 plus the closed half-line
+    {re = a1, im >= a2}: the base half-plane of every region.
     """
-    if wr > a1 or (wr == a1 and wi >= a2):
-        return IN
-    return OUT
+    return (wr > a1) | ((wr == a1) & (wi >= a2))
 
 
-def chain_pullback(kinds, pa, pb, wr, wi):
+def pull_back(kinds, pa, pb, wr, wi, invert):
     """Walk a transform chain outermost-first, pulling the probe back.
 
     Each step replaces the probe by the preimage that the corresponding
     set transform demands: rotation divides out the phase, dilation
     divides the factor, translation subtracts the offset, inversion
-    takes the reciprocal (pole at 0), radication squares.  Returns
-    (ok, wr, wi); ok = 0 marks a pole.
+    takes the reciprocal, radication squares.  ``invert(wr, wi)`` is the
+    reciprocal; it also owns the pole at 0, which the scalar path raises
+    and the grid path records in a mask.
     """
     for k in range(len(kinds) - 1, -1, -1):
         kind = kinds[k]
@@ -93,11 +96,28 @@ def chain_pullback(kinds, pa, pb, wr, wi):
             wr = wr - pa[k]
             wi = wi - pb[k]
         elif kind == KIND_INVERT:
-            if wr == 0.0 and wi == 0.0:
-                return 0, wr, wi
-            wr, wi = recip(wr, wi)
+            wr, wi = invert(wr, wi)
         else:
             wr, wi = csq(wr, wi)
+    return wr, wi
+
+
+class _Pole(Exception):
+    """A scalar pullback reached the pole of an inversion."""
+
+
+def _invert(wr, wi):
+    if wr == 0.0 and wi == 0.0:
+        raise _Pole
+    return cdiv(1.0, 0.0, wr, wi)
+
+
+def chain_pullback(kinds, pa, pb, wr, wi):
+    """:func:`pull_back` of one probe.  Returns (ok, wr, wi); ok = 0 marks a pole."""
+    try:
+        wr, wi = pull_back(kinds, pa, pb, wr, wi, _invert)
+    except _Pole:
+        return 0, 0.0, 0.0
     return 1, wr, wi
 
 
@@ -106,7 +126,7 @@ def chain_membership(a1, a2, kinds, pa, pb, wr, wi):
     ok, wr, wi = chain_pullback(kinds, pa, pb, wr, wi)
     if ok == 0:
         return POLE
-    return halfplane_code(wr, wi, a1, a2)
+    return IN if at_least(wr, wi, a1, a2) else OUT
 
 
 def tie_margin(dr, di):
@@ -122,18 +142,9 @@ def tie_margin(dr, di):
     return abs(di)
 
 
-def value_margin(vr, vi, eps):
-    """Magnitude of the component that decides the comparison with 0.
-
-    When |Re v| exceeds eps the real part decides; otherwise the
-    imaginary part is the deciding component.  A small margin flags a
-    probe too close to the order's decision boundary for two different
-    float computations to agree reliably.
-    """
-    avr = abs(vr)
-    if avr > eps:
-        return avr
-    return abs(vi)
+def linear_value(ar, ai, br, bi, zr, zi):
+    """A*z - B."""
+    return ar * zr - ai * zi - br, ar * zi + ai * zr - bi
 
 
 def quadratic_value(ar, ai, br, bi, cr, ci, zr, zi):
@@ -146,11 +157,15 @@ def quadratic_value(ar, ai, br, bi, cr, ci, zr, zi):
     return (t1r + t2r) + cr, (t1i + t2i) + ci
 
 
-def fractional_value(ar, ai, br, bi, cr, ci, dr, di, zr, zi):
-    """(A*z + B) / (z + C) - D.  Pre: z != -C."""
+def fractional_value(ar, ai, br, bi, cr, ci, dr, di, zr, zi, div):
+    """(A*z + B) / (z + C) - D, with ``div`` the complex division.
+
+    Pre: z != -C for the scalar :func:`cdiv`; the grid's division
+    leaves pole lanes for the caller to mask.
+    """
     wr = zr + cr
     wi = zi + ci
     nr = ar * zr - ai * zi + br
     ni = ar * zi + ai * zr + bi
-    qr, qi = cdiv(nr, ni, wr, wi)
+    qr, qi = div(nr, ni, wr, wi)
     return qr - dr, qi - di

@@ -16,6 +16,7 @@ their shortest round-trippable decimals.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import TYPE_CHECKING, Sequence
@@ -38,7 +39,7 @@ from .region import (
     VerticalHalfPlane,
     classify,
 )
-from .solver import Fractional, Linear, LinearSystem, Quadratic, solve
+from .solver import solve
 
 if TYPE_CHECKING:
     from .laws import LawReport
@@ -90,14 +91,8 @@ def region_from_json(doc: dict) -> Region:
 
 def problem_to_json(problem) -> dict:
     doc = {"kind": problem_kind(problem)}
-    if isinstance(problem, (Linear, Quadratic)):
-        fields = ("a", "b") if isinstance(problem, Linear) else ("a", "b", "c")
-    elif isinstance(problem, (LinearSystem, Fractional)):
-        fields = ("a", "b", "c", "d")
-    else:
-        raise TypeError(f"not an inequality problem: {problem!r}")
-    for name in fields:
-        doc[name] = complex_to_json(getattr(problem, name))
+    for f in dataclasses.fields(problem):
+        doc[f.name] = complex_to_json(getattr(problem, f.name))
     return doc
 
 

@@ -263,17 +263,15 @@ _register("ComplexScalarMonotonicity", False,
 LAW_IDS: tuple[str, ...] = tuple(_REGISTRY)
 
 
+def _law(law_id: str) -> _Law:
+    if law_id not in _REGISTRY:
+        raise UnknownLawError(f"unknown law id {law_id!r}; known: {', '.join(LAW_IDS)}")
+    return _REGISTRY[law_id]
+
+
 def is_law(law_id: str) -> bool:
     """True when the registry expects the law to hold."""
-    if law_id not in _REGISTRY:
-        raise UnknownLawError(f"unknown law id {law_id!r}; known: {', '.join(LAW_IDS)}")
-    return _REGISTRY[law_id].is_law
-
-
-def law_description(law_id: str) -> str:
-    if law_id not in _REGISTRY:
-        raise UnknownLawError(f"unknown law id {law_id!r}; known: {', '.join(LAW_IDS)}")
-    return _REGISTRY[law_id].description
+    return _law(law_id).is_law
 
 
 def check_law(law_id: str, samples: int = 10_000, seed: int = 0) -> LawReport:
@@ -284,13 +282,11 @@ def check_law(law_id: str, samples: int = 10_000, seed: int = 0) -> LawReport:
     first violating tuple as witness.  The same seed always yields the
     same report.
     """
-    if law_id not in _REGISTRY:
-        raise UnknownLawError(f"unknown law id {law_id!r}; known: {', '.join(LAW_IDS)}")
+    law = _law(law_id)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if samples > MAX_SAMPLES:
         raise ValueError(f"samples must be <= {MAX_SAMPLES} (laws.MAX_SAMPLES), got {samples}")
-    law = _REGISTRY[law_id]
     rng = np.random.default_rng(seed)
     ok, tuples = law.vector_check(rng, samples)
     if bool(ok.all()):
@@ -307,9 +303,7 @@ def check_law(law_id: str, samples: int = 10_000, seed: int = 0) -> LawReport:
 
 def recheck(law_id: str, witness: tuple[complex, ...]) -> bool:
     """Re-evaluate one law on a single tuple; True means the law holds there."""
-    if law_id not in _REGISTRY:
-        raise UnknownLawError(f"unknown law id {law_id!r}; known: {', '.join(LAW_IDS)}")
-    return bool(_REGISTRY[law_id].scalar_check(*witness))
+    return bool(_law(law_id).scalar_check(*witness))
 
 
 def check_all(samples: int = 10_000, seed: int = 0) -> list[LawReport]:

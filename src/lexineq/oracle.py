@@ -1,8 +1,9 @@
 """Brute-force ground truth for the solvers.
 
 ``eval_direct`` evaluates an inequality's left-hand expression at a
-point with plain complex arithmetic and compares against zero in
-dictionary order.  It knows nothing about regions or solution chains,
+point with the plain-float complex arithmetic of ``_kernels`` and
+compares against zero in dictionary order; :func:`problem_grid` runs the
+same evaluation on arrays.  It knows nothing about regions or solution chains,
 so any solver bug shows up as a disagreement when :func:`verify` sweeps
 a grid and compares both answers pointwise.
 
@@ -218,29 +219,37 @@ class VerificationReport:
         return self.total - self.skipped_boundary - self.skipped_pole
 
 
+def _parts(*coefficients: complex) -> list[float]:
+    return [x for c in coefficients for x in (c.real, c.imag)]
+
+
+def _constraint_values(problem: InequalityProblem, zr, zi, div) -> tuple:
+    """Left-hand value(s) ``(re, im)`` of the inequality at z = zr + zi*i.
+
+    Runs unchanged on floats and on float64 arrays, with ``div`` the
+    matching complex division (``_kernels.cdiv`` or ``_grid.cdiv``); the
+    caller handles the fraction's pole.  Consults only complex
+    arithmetic, never the region or solver machinery.
+    """
+    if isinstance(problem, Linear):
+        return (_kernels.linear_value(*_parts(problem.a, problem.b), zr, zi),)
+    if isinstance(problem, LinearSystem):
+        return (_kernels.linear_value(*_parts(problem.a, problem.b), zr, zi),
+                _kernels.linear_value(*_parts(problem.c, problem.d), zr, zi))
+    if isinstance(problem, Fractional):
+        parts = _parts(problem.a, problem.b, problem.c, problem.d)
+        return (_kernels.fractional_value(*parts, zr, zi, div),)
+    if isinstance(problem, Quadratic):
+        return (_kernels.quadratic_value(*_parts(problem.a, problem.b, problem.c), zr, zi),)
+    raise TypeError(f"not an inequality problem: {problem!r}")
+
+
 def _values(problem: InequalityProblem, z: complex) -> tuple[complex, ...]:
     """Left-hand value(s) of the inequality at z; PoleError at a pole."""
-    if isinstance(problem, Linear):
-        return (problem.a * z - problem.b,)
-    if isinstance(problem, LinearSystem):
-        return (problem.a * z - problem.b, problem.c * z - problem.d)
-    if isinstance(problem, Fractional):
-        w = z + problem.c
-        if w == 0:
-            raise PoleError(f"pole of the fraction at z = {z!r}")
-        vr, vi = _kernels.fractional_value(
-            problem.a.real, problem.a.imag, problem.b.real, problem.b.imag,
-            problem.c.real, problem.c.imag, problem.d.real, problem.d.imag,
-            z.real, z.imag,
-        )
-        return (complex(vr, vi),)
-    if isinstance(problem, Quadratic):
-        vr, vi = _kernels.quadratic_value(
-            problem.a.real, problem.a.imag, problem.b.real, problem.b.imag,
-            problem.c.real, problem.c.imag, z.real, z.imag,
-        )
-        return (complex(vr, vi),)
-    raise TypeError(f"not an inequality problem: {problem!r}")
+    if isinstance(problem, Fractional) and z + problem.c == 0:
+        raise PoleError(f"pole of the fraction at z = {z!r}")
+    values = _constraint_values(problem, z.real, z.imag, _kernels.cdiv)
+    return tuple(complex(vr, vi) for vr, vi in values)
 
 
 def eval_direct(problem: InequalityProblem, z: complex) -> Membership:
@@ -255,32 +264,32 @@ def eval_direct(problem: InequalityProblem, z: complex) -> Membership:
     except PoleError:
         return Membership.POLE
     for v in values:
-        if not (v.real > 0.0 or (v.real == 0.0 and v.imag >= 0.0)):
+        if not _kernels.at_least(v.real, v.imag, 0.0, 0.0):
             return Membership.OUT
     return Membership.IN
 
 
-def boundary_margin(problem: InequalityProblem, z: complex, eps: float = DEFAULT_EPS) -> float:
-    """Magnitude of the deciding component of the evaluated value.
+def boundary_margin(problem: InequalityProblem, z: complex) -> float:
+    """Margin of the component that decides the comparison with 0.
 
-    |Re v| when it exceeds eps, else |Im v|; for a system, the smallest
-    margin over both constraints.  Raises PoleError at a pole.
+    |Re v| unless Re v is exactly 0, else |Im v| (the tie margin); for a
+    system, the smallest margin over both constraints.  This is the
+    margin :func:`problem_grid` reports and :func:`verify` skips on.
+    Raises PoleError at a pole.
     """
     require_finite(z, "probe point")
-    values = _values(problem, z)
-    return min(_kernels.value_margin(v.real, v.imag, eps) for v in values)
+    return min(_kernels.tie_margin(v.real, v.imag) for v in _values(problem, z))
 
 
 def problem_grid(problem: InequalityProblem, zr: np.ndarray,
                  zi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized direct evaluation: (membership codes, margins).
 
-    The margins here are tie-aware: the real component's magnitude
-    whenever it is nonzero (however small), falling back to the
-    imaginary component only on an exact tie.  A sub-ulp real residue
-    thus reports a tiny margin, marking the decision as resting on
-    rounding noise.  They drive :func:`verify`'s skipping; the public
-    :func:`boundary_margin` keeps its eps-threshold contract.
+    Evaluates the same constraint values as :func:`eval_direct` on
+    arrays, bit for bit.  The margins are :func:`boundary_margin` at
+    each probe, and infinite at a pole.  A sub-ulp real residue thus
+    reports a tiny margin, marking the decision as resting on rounding
+    noise; :func:`verify` skips such probes.
     """
     import numpy as np
 
@@ -288,24 +297,12 @@ def problem_grid(problem: InequalityProblem, zr: np.ndarray,
 
     zr = np.ascontiguousarray(zr, dtype=np.float64)
     zi = np.ascontiguousarray(zi, dtype=np.float64)
-    if isinstance(problem, Linear):
-        return _grid.linear_grid(problem.a.real, problem.a.imag,
-                                 problem.b.real, problem.b.imag, zr, zi)
-    if isinstance(problem, LinearSystem):
-        return _grid.system_grid(problem.a.real, problem.a.imag,
-                                 problem.b.real, problem.b.imag,
-                                 problem.c.real, problem.c.imag,
-                                 problem.d.real, problem.d.imag, zr, zi)
+    values = _constraint_values(problem, zr, zi, _grid.cdiv)
     if isinstance(problem, Fractional):
-        return _grid.fractional_grid(problem.a.real, problem.a.imag,
-                                     problem.b.real, problem.b.imag,
-                                     problem.c.real, problem.c.imag,
-                                     problem.d.real, problem.d.imag, zr, zi)
-    if isinstance(problem, Quadratic):
-        return _grid.quadratic_grid(problem.a.real, problem.a.imag,
-                                    problem.b.real, problem.b.imag,
-                                    problem.c.real, problem.c.imag, zr, zi)
-    raise TypeError(f"not an inequality problem: {problem!r}")
+        pole = (zr + problem.c.real == 0.0) & (zi + problem.c.imag == 0.0)
+    else:
+        pole = np.zeros(zr.shape, dtype=bool)
+    return _grid.codes_margins(values, pole)
 
 
 def verify(problem: InequalityProblem, solution: SolutionSet,

@@ -187,13 +187,11 @@ def membership_grid(region: Region, zr: np.ndarray, zi: np.ndarray) -> np.ndarra
     a1, a2, kinds, pa, pb = _encode(region)
     zr = np.ascontiguousarray(zr, dtype=np.float64)
     zi = np.ascontiguousarray(zi, dtype=np.float64)
-    return _grid.region_grid(a1, a2, kinds, pa, pb, zr, zi)
+    return _grid.region_grid(a1, a2, kinds, pa, pb, zr, zi)[0]
 
 
 def apply_transform(region: Region, transform: Transform) -> Region:
     """Append ``transform`` as the new outermost step of the chain."""
-    if not isinstance(transform, (Rotate, Scale, Translate, Invert, Sqrt)):
-        raise TypeError(f"not a transform: {transform!r}")
     return Region(region.base, region.transforms + (transform,))
 
 

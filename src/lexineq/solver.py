@@ -339,4 +339,4 @@ def _region_grid_margin(region: Region, zr, zi):
     from . import _grid
 
     a1, a2, kinds, pa, pb = _encode(region)
-    return _grid.region_grid_margin(a1, a2, kinds, pa, pb, zr, zi)
+    return _grid.region_grid(a1, a2, kinds, pa, pb, zr, zi)

@@ -1,8 +1,12 @@
 """The numpy grid path and the scalar reference agree bit for bit.
 
-``_grid`` mirrors the plain-float helpers in ``_kernels`` expression for
-expression, so every grid result (membership codes and margins) must
-equal the scalar path applied point by point, for every problem class.
+``_grid`` runs the plain-float helpers of ``_kernels`` themselves on
+arrays, adding only the lane-wise choice of Smith's branch, pole masks
+and the reduction to codes and margins.  So every grid result
+(membership codes and margins) must equal the scalar path applied point
+by point, for every problem class; these tests check that the array
+parts (branch selection, pole masks, intersections and excluded points)
+keep it so.
 """
 
 import math
@@ -12,7 +16,7 @@ import pytest
 
 from lexineq import _kernels
 from lexineq.errors import PoleError
-from lexineq.oracle import _values, eval_direct, problem_grid
+from lexineq.oracle import _values, boundary_margin, eval_direct, problem_grid
 from lexineq.region import (
     Invert,
     Membership,
@@ -103,7 +107,7 @@ class TestBitEquality:
             assert codes.tolist() == expected
 
     def test_region_grids(self):
-        """region_grid_margin, through a one-region solution, against the
+        """region_grid, through a one-region solution, against the
         scalar pullback and tie margin."""
         rng = np.random.default_rng(42)
         zr, zi = _coords(rng, 60)
@@ -135,6 +139,13 @@ class TestBitEquality:
                 continue
             expected.append(min(_kernels.tie_margin(v.real, v.imag) for v in values))
         assert margins.tolist() == expected
+        public = []
+        for z in _points(zr, zi):
+            try:
+                public.append(boundary_margin(problem, z))
+            except PoleError:
+                public.append(math.inf)
+        assert margins.tolist() == public
         if isinstance(problem, Fractional):
             assert Membership.POLE in codes.tolist()
 

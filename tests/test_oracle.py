@@ -63,6 +63,10 @@ class TestBoundaryMargin:
     def test_falls_to_imaginary(self):
         assert boundary_margin(Linear(1 + 0j, 0j), 2j) == 2.0
 
+    def test_real_residue_decides(self):
+        # any nonzero real part decides the comparison, however small
+        assert boundary_margin(Linear(1 + 0j, 0j), 1e-9 + 5j) == 1e-9
+
     def test_quadratic_example(self):
         assert boundary_margin(Quadratic(1 + 0j, 0j, 0j), 1 + 1j) == 2.0
 
