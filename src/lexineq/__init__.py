@@ -46,7 +46,6 @@ from .region import (
     classify,
     contains,
     membership_grid,
-    normalize,
 )
 from .solver import (
     Fractional,

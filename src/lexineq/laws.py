@@ -1,36 +1,43 @@
 """Randomized checker for the order laws (and one deliberate non-law).
 
-Each law is checked on vectorized batches of seeded random samples and,
-when a violation is found, re-confirmed on the single witness tuple with
-the scalar comparison, so every counterexample is reproducible in
-isolation.
+Each law is one predicate over operands given as (re, im) component
+pairs, built from the dictionary comparison ``_kernels.at_least``.  The
+same predicate runs on float64 lanes of seeded random samples in
+:func:`check_law` and on a witness's Python floats in :func:`recheck`:
+a violation found on the lanes is re-confirmed on the single witness
+tuple, so every counterexample is reproducible in isolation.
+
+A law's operands are declared by a draw spec, one character per
+operand: ``a`` fresh coordinates, ``t`` coordinates tied to the
+previous operand (real-part and full ties injected at fixed rates to
+exercise the tie-breaking branches, which uniform sampling would almost
+never hit), ``+`` / ``-`` a positive / negative real factor.
+:func:`recheck` refuses a witness outside that spec.
 
 Samples are dyadic rationals k/8 with |k| <= 64.  At that granularity
 every sum, difference and scaling the laws perform is exact in binary
-floating point, so rounding can never fabricate a counterexample.
-Real-part and full ties are injected with fixed probability to exercise
-the tie-breaking branches, which uniform sampling would almost never
-hit.  The PRNG is numpy's seeded PCG64, so reports are byte-identical
-across runs for a fixed seed.
+floating point, so rounding can never fabricate a counterexample.  The
+PRNG is numpy's seeded PCG64 and each spec draws in a fixed order, so
+reports are byte-identical across runs for a fixed seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ._kernels import at_least
 from .errors import UnknownLawError
-from .lexorder import Ordering, lex_cmp, lex_le
+from .lexorder import require_finite
 
 __all__ = ["LawReport", "LAW_IDS", "MAX_SAMPLES", "check_law", "check_all", "recheck", "is_law",
            "all_as_expected"]
 
 # Largest sample count per law, checked before anything is allocated.  A
 # law holds up to about twenty float64 arrays of length n at once:
-# check_all peaks near 180 MB RSS at 2^20 samples, so the cap keeps it
-# near 0.6 GB.
+# check_all peaks near 135 MB RSS at 2^20 samples, so the cap keeps it
+# under 0.6 GB.
 MAX_SAMPLES = 1 << 22
 
 
@@ -64,214 +71,91 @@ def _tied_pair(rng, n, ar, ai):
     return br, bi
 
 
-def _vcmp(ar, ai, br, bi):
-    """Vectorized dictionary comparison: -1 / 0 / +1 per lane."""
-    less = (ar < br) | ((ar == br) & (ai < bi))
-    greater = (ar > br) | ((ar == br) & (ai > bi))
-    return greater.astype(np.int8) - less.astype(np.int8)
+def _draw(rng, n, draws):
+    """Operand lanes for a draw spec, one (re, im) pair per character."""
+    operands = []
+    for kind in draws:
+        if kind == "a":
+            operands.append(_coords(rng, n))
+        elif kind == "t":
+            operands.append(_tied_pair(rng, n, *operands[-1]))
+        else:
+            r = rng.integers(1, 65, size=n) / 8.0
+            operands.append((r if kind == "+" else -r, np.zeros(n)))
+    return operands
 
 
-def _vle(ar, ai, br, bi):
-    return (ar < br) | ((ar == br) & (ai <= bi))
+# Predicates take operands as (re, im) pairs of floats or of float64
+# lanes.  They combine comparisons only with & | ^ == <= >, which mean
+# the same on Python bools and on numpy bool arrays; ``not``, ``~`` and
+# ``.astype`` do not, so no predicate uses them.
+
+def le(a, b):
+    """a <= b in dictionary order."""
+    return at_least(b[0], b[1], a[0], a[1])
 
 
-class _Law(NamedTuple):
-    law_id: str
-    is_law: bool
-    description: str
-    vector_check: Callable[[np.random.Generator, int], tuple[np.ndarray, tuple[np.ndarray, ...]]]
-    scalar_check: Callable[..., bool]
+def lt(a, b):
+    """a < b in dictionary order."""
+    return le(a, b) > le(b, a)
 
 
-def _check_reflexivity(rng, n):
-    ar, ai = _coords(rng, n)
-    ok = _vcmp(ar, ai, ar, ai) == 0
-    return ok, (ar + 1j * ai,)
+def _same(a, b):
+    return (a[0] == b[0]) & (a[1] == b[1])
 
 
-def _scalar_reflexivity(a):
-    return lex_cmp(a, a) is Ordering.EQUAL
+def _exactly_one(x, y, z):
+    return (x ^ y ^ z) > (x & y & z)
 
 
-def _check_antisymmetry(rng, n):
-    ar, ai = _coords(rng, n)
-    br, bi = _tied_pair(rng, n, ar, ai)
-    both = _vle(ar, ai, br, bi) & _vle(br, bi, ar, ai)
-    equal = (ar == br) & (ai == bi)
-    ok = both == equal
-    return ok, (ar + 1j * ai, br + 1j * bi)
+def _same_order(a, b, c, d):
+    """a, b compare as c, d do."""
+    return (le(a, b) == le(c, d)) & (le(b, a) == le(d, c))
 
 
-def _scalar_antisymmetry(a, b):
-    return (lex_le(a, b) and lex_le(b, a)) == (a == b)
+def _add(a, b):
+    return a[0] + b[0], a[1] + b[1]
 
 
-def _check_transitivity(rng, n):
-    ar, ai = _coords(rng, n)
-    br, bi = _tied_pair(rng, n, ar, ai)
-    cr, ci = _tied_pair(rng, n, br, bi)
-    premise = _vle(ar, ai, br, bi) & _vle(br, bi, cr, ci)
-    ok = ~premise | _vle(ar, ai, cr, ci)
-    return ok, (ar + 1j * ai, br + 1j * bi, cr + 1j * ci)
+def _sub(a, b):
+    return a[0] - b[0], a[1] - b[1]
 
 
-def _scalar_transitivity(a, b, c):
-    if lex_le(a, b) and lex_le(b, c):
-        return lex_le(a, c)
-    return True
+def _mul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
-def _check_totality(rng, n):
-    ar, ai = _coords(rng, n)
-    br, bi = _tied_pair(rng, n, ar, ai)
-    less = (ar < br) | ((ar == br) & (ai < bi))
-    greater = (ar > br) | ((ar == br) & (ai > bi))
-    equal = (ar == br) & (ai == bi)
-    exactly_one = (
-        less.astype(np.int8) + greater.astype(np.int8) + equal.astype(np.int8)
-    ) == 1
-    mirrored = _vcmp(ar, ai, br, bi) == -_vcmp(br, bi, ar, ai)
-    ok = exactly_one & mirrored
-    return ok, (ar + 1j * ai, br + 1j * bi)
+# law id -> (expected to hold, draw spec, predicate)
+_LAWS = {
+    "Reflexivity": (True, "a", lambda a: le(a, a)),
+    "Antisymmetry": (True, "at", lambda a, b: (le(a, b) & le(b, a)) == _same(a, b)),
+    "Transitivity": (True, "att", lambda a, b, c: (le(a, b) & le(b, c)) <= le(a, c)),
+    "Totality": (True, "at", lambda a, b: _exactly_one(lt(a, b), lt(b, a), _same(a, b))),
+    "TranslationInvariance": (True, "ata",
+                              lambda a, b, c: _same_order(a, b, _add(a, c), _add(b, c))),
+    "TermMoving": (True, "aaa", lambda a, b, c: le(_add(a, b), c) == le(a, _sub(c, b))),
+    "Additivity": (True, "atat",
+                   lambda a, b, c, d: (le(a, b) & le(c, d)) <= le(_add(a, c), _add(b, d))),
+    "PositiveScaling": (True, "at+",
+                        lambda a, b, r: _same_order(a, b, _mul(r, a), _mul(r, b))),
+    "NegativeScalingReversal": (True, "at-",
+                                lambda a, b, r: _same_order(a, b, _mul(r, b), _mul(r, a))),
+    "ComplexScalarMonotonicity": (False, "ata",
+                                  lambda a, b, c: le(a, b) <= le(_mul(a, c), _mul(b, c))),
+}
+
+LAW_IDS: tuple[str, ...] = tuple(_LAWS)
 
 
-def _scalar_totality(a, b):
-    c1 = lex_cmp(a, b)
-    c2 = lex_cmp(b, a)
-    return int(c1) == -int(c2)
-
-
-def _check_translation_invariance(rng, n):
-    ar, ai = _coords(rng, n)
-    br, bi = _tied_pair(rng, n, ar, ai)
-    cr, ci = _coords(rng, n)
-    ok = _vcmp(ar, ai, br, bi) == _vcmp(ar + cr, ai + ci, br + cr, bi + ci)
-    return ok, (ar + 1j * ai, br + 1j * bi, cr + 1j * ci)
-
-
-def _scalar_translation_invariance(a, b, c):
-    return lex_cmp(a, b) is lex_cmp(a + c, b + c)
-
-
-def _check_term_moving(rng, n):
-    ar, ai = _coords(rng, n)
-    br, bi = _coords(rng, n)
-    cr, ci = _coords(rng, n)
-    ok = _vle(ar + br, ai + bi, cr, ci) == _vle(ar, ai, cr - br, ci - bi)
-    return ok, (ar + 1j * ai, br + 1j * bi, cr + 1j * ci)
-
-
-def _scalar_term_moving(a, b, c):
-    return lex_le(a + b, c) == lex_le(a, c - b)
-
-
-def _check_additivity(rng, n):
-    ar, ai = _coords(rng, n)
-    br, bi = _tied_pair(rng, n, ar, ai)
-    cr, ci = _coords(rng, n)
-    dr, di = _tied_pair(rng, n, cr, ci)
-    premise = _vle(ar, ai, br, bi) & _vle(cr, ci, dr, di)
-    ok = ~premise | _vle(ar + cr, ai + ci, br + dr, bi + di)
-    return ok, (ar + 1j * ai, br + 1j * bi, cr + 1j * ci, dr + 1j * di)
-
-
-def _scalar_additivity(a, b, c, d):
-    if lex_le(a, b) and lex_le(c, d):
-        return lex_le(a + c, b + d)
-    return True
-
-
-def _positive_factor(rng, n):
-    return rng.integers(1, 65, size=n).astype(np.float64) / 8.0
-
-
-def _check_positive_scaling(rng, n):
-    ar, ai = _coords(rng, n)
-    br, bi = _tied_pair(rng, n, ar, ai)
-    r = _positive_factor(rng, n)
-    ok = _vcmp(ar, ai, br, bi) == _vcmp(r * ar, r * ai, r * br, r * bi)
-    return ok, (ar + 1j * ai, br + 1j * bi, r + 0j)
-
-
-def _scalar_positive_scaling(a, b, r):
-    k = r.real
-    return lex_cmp(a, b) is lex_cmp(complex(k * a.real, k * a.imag), complex(k * b.real, k * b.imag))
-
-
-def _check_negative_scaling_reversal(rng, n):
-    ar, ai = _coords(rng, n)
-    br, bi = _tied_pair(rng, n, ar, ai)
-    r = -_positive_factor(rng, n)
-    ok = _vcmp(r * ar, r * ai, r * br, r * bi) == -_vcmp(ar, ai, br, bi)
-    return ok, (ar + 1j * ai, br + 1j * bi, r + 0j)
-
-
-def _scalar_negative_scaling_reversal(a, b, r):
-    k = r.real
-    scaled = lex_cmp(complex(k * a.real, k * a.imag), complex(k * b.real, k * b.imag))
-    return int(scaled) == -int(lex_cmp(a, b))
-
-
-def _check_complex_scalar_monotonicity(rng, n):
-    ar, ai = _coords(rng, n)
-    br, bi = _tied_pair(rng, n, ar, ai)
-    cr, ci = _coords(rng, n)
-    premise = _vle(ar, ai, br, bi)
-    acr = ar * cr - ai * ci
-    aci = ar * ci + ai * cr
-    bcr = br * cr - bi * ci
-    bci = br * ci + bi * cr
-    ok = ~premise | _vle(acr, aci, bcr, bci)
-    return ok, (ar + 1j * ai, br + 1j * bi, cr + 1j * ci)
-
-
-def _scalar_complex_scalar_monotonicity(a, b, c):
-    if lex_le(a, b):
-        return lex_le(a * c, b * c)
-    return True
-
-
-_REGISTRY: dict[str, _Law] = {}
-
-
-def _register(law_id, is_law, description, vector_check, scalar_check):
-    _REGISTRY[law_id] = _Law(law_id, is_law, description, vector_check, scalar_check)
-
-
-_register("Reflexivity", True, "every value compares equal to itself",
-          _check_reflexivity, _scalar_reflexivity)
-_register("Antisymmetry", True, "mutual <= holds exactly for identical values",
-          _check_antisymmetry, _scalar_antisymmetry)
-_register("Transitivity", True, "A <= B and B <= C imply A <= C",
-          _check_transitivity, _scalar_transitivity)
-_register("Totality", True, "exactly one of <, =, > holds and swapping operands mirrors it",
-          _check_totality, _scalar_totality)
-_register("TranslationInvariance", True, "adding the same value to both sides preserves the comparison",
-          _check_translation_invariance, _scalar_translation_invariance)
-_register("TermMoving", True, "a term moves across the relation with its sign flipped",
-          _check_term_moving, _scalar_term_moving)
-_register("Additivity", True, "inequalities add side by side",
-          _check_additivity, _scalar_additivity)
-_register("PositiveScaling", True, "scaling both sides by a positive real preserves the comparison",
-          _check_positive_scaling, _scalar_positive_scaling)
-_register("NegativeScalingReversal", True, "scaling both sides by a negative real reverses the comparison",
-          _check_negative_scaling_reversal, _scalar_negative_scaling_reversal)
-_register("ComplexScalarMonotonicity", False,
-          "multiplying both sides by a complex factor would preserve <= (it does not)",
-          _check_complex_scalar_monotonicity, _scalar_complex_scalar_monotonicity)
-
-LAW_IDS: tuple[str, ...] = tuple(_REGISTRY)
-
-
-def _law(law_id: str) -> _Law:
-    if law_id not in _REGISTRY:
+def _law(law_id: str):
+    if law_id not in _LAWS:
         raise UnknownLawError(f"unknown law id {law_id!r}; known: {', '.join(LAW_IDS)}")
-    return _REGISTRY[law_id]
+    return _LAWS[law_id]
 
 
 def is_law(law_id: str) -> bool:
     """True when the registry expects the law to hold."""
-    return _law(law_id).is_law
+    return _law(law_id)[0]
 
 
 def check_law(law_id: str, samples: int = 10_000, seed: int = 0) -> LawReport:
@@ -282,28 +166,41 @@ def check_law(law_id: str, samples: int = 10_000, seed: int = 0) -> LawReport:
     first violating tuple as witness.  The same seed always yields the
     same report.
     """
-    law = _law(law_id)
+    _, draws, holds = _law(law_id)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if samples > MAX_SAMPLES:
         raise ValueError(f"samples must be <= {MAX_SAMPLES} (laws.MAX_SAMPLES), got {samples}")
-    rng = np.random.default_rng(seed)
-    ok, tuples = law.vector_check(rng, samples)
+    operands = _draw(np.random.default_rng(seed), samples, draws)
+    ok = holds(*operands)
     if bool(ok.all()):
         return LawReport(law_id, samples, "pass", None)
     idx = int(np.argmax(~ok))
-    witness = tuple(complex(t[idx]) for t in tuples)
-    # confirm deterministically on the scalar path before reporting
-    if law.scalar_check(*witness):
+    witness = tuple(complex(re[idx], im[idx]) for re, im in operands)
+    # confirm on the witness's own floats before reporting
+    if recheck(law_id, witness):
         raise AssertionError(
-            f"vector check of {law_id} flagged a witness the scalar check accepts: {witness!r}"
+            f"lane check of {law_id} flagged a witness its float check accepts: {witness!r}"
         )
     return LawReport(law_id, samples, "counterexample", witness)
 
 
 def recheck(law_id: str, witness: tuple[complex, ...]) -> bool:
-    """Re-evaluate one law on a single tuple; True means the law holds there."""
-    return bool(_law(law_id).scalar_check(*witness))
+    """Re-evaluate one law on a single tuple; True means the law holds there.
+
+    The witness must lie in the law's domain: one finite operand per
+    draw, and each factor real with the sign its law assumes.  A
+    ValueError refuses anything else.
+    """
+    _, draws, holds = _law(law_id)
+    if len(witness) != len(draws):
+        raise ValueError(f"{law_id} takes {len(draws)} operands, got {len(witness)}")
+    for k, (kind, w) in enumerate(zip(draws, witness)):
+        require_finite(w, f"{law_id} operand {k}")
+        if kind in "+-" and (w.imag != 0.0 or w.real == 0.0 or (w.real > 0.0) != (kind == "+")):
+            sign = "positive" if kind == "+" else "negative"
+            raise ValueError(f"{law_id} operand {k} must be a {sign} real factor, got {w!r}")
+    return bool(holds(*((w.real, w.imag) for w in witness)))
 
 
 def check_all(samples: int = 10_000, seed: int = 0) -> list[LawReport]:

@@ -37,7 +37,6 @@ __all__ = [
     "contains",
     "membership_grid",
     "apply_transform",
-    "normalize",
     "classify",
     "principal_angle",
     "VerticalHalfPlane",
@@ -193,47 +192,6 @@ def membership_grid(region: Region, zr: np.ndarray, zi: np.ndarray) -> np.ndarra
 def apply_transform(region: Region, transform: Transform) -> Region:
     """Append ``transform`` as the new outermost step of the chain."""
     return Region(region.base, region.transforms + (transform,))
-
-
-def _is_identity(t: Transform) -> bool:
-    if isinstance(t, Rotate):
-        return t.theta == 0.0
-    if isinstance(t, Scale):
-        return t.r == 1.0
-    if isinstance(t, Translate):
-        return t.offset == 0
-    return False
-
-
-def normalize(region: Region) -> Region:
-    """Optional cleanup pass: drop identity steps, merge adjacent
-    rotations/scales/translations.
-
-    Membership is preserved up to floating-point rounding on region
-    boundaries; solver output is deliberately *not* normalized so the
-    emitted chain matches the construction step for step.
-    """
-    out: list[Transform] = []
-    for t in region.transforms:
-        if _is_identity(t):
-            continue
-        if out and type(out[-1]) is type(t):
-            prev = out.pop()
-            if isinstance(t, Rotate):
-                merged = Rotate(principal_angle(prev.theta + t.theta))
-            elif isinstance(t, Scale):
-                merged = Scale(prev.r * t.r)
-            elif isinstance(t, Translate):
-                merged = Translate(prev.offset + t.offset)
-            else:
-                out.append(prev)
-                out.append(t)
-                continue
-            if not _is_identity(merged):
-                out.append(merged)
-            continue
-        out.append(t)
-    return Region(region.base, tuple(out))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ pullback walk, which is correct for all parameter signs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Union
@@ -161,6 +162,14 @@ class SolutionSet:
         return cls(SolutionKind.EMPTY, (), tuple(excluded_points), note)
 
 
+def _in_float_range(z: complex, what: str = "threshold") -> complex:
+    """Refuse a solution parameter whose computation from finite
+    coefficients overflowed, e.g. B/r = 1e600 for ``(1e-300)*Z >= 1e300``."""
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"computing the solution {what} overflows the float range (about 1.8e308)")
+    return z
+
+
 def solve_linear(a: complex, b: complex) -> SolutionSet:
     """Solve A*Z - B >= 0.
 
@@ -175,7 +184,7 @@ def solve_linear(a: complex, b: complex) -> SolutionSet:
             return SolutionSet.universe(note="zero leading coefficient; inequality is constant")
         return SolutionSet.empty(note="zero leading coefficient; inequality is constant")
     pol = polar_decompose(a)
-    anchor = complex(b.real / pol.r, b.imag / pol.r)
+    anchor = _in_float_range(complex(b.real / pol.r, b.imag / pol.r))
     region = Region(anchor)
     if pol.theta != 0.0:
         region = apply_transform(region, Rotate(-pol.theta))
@@ -220,7 +229,7 @@ def solve_fractional(a: complex, b: complex, c: complex, d: complex,
             return SolutionSet.universe(excluded_points=(pole,), note=note)
         return SolutionSet.empty(excluded_points=(pole,), note=note)
     pol = polar_decompose(w)
-    anchor = complex((d - a).real / pol.r, (d - a).imag / pol.r)
+    anchor = _in_float_range(complex((d - a).real / pol.r, (d - a).imag / pol.r))
     region = Region(anchor, (Invert(),))
     if pol.theta != 0.0:
         region = apply_transform(region, Rotate(pol.theta))
@@ -243,9 +252,9 @@ def solve_quadratic(a: complex, b: complex, c: complex) -> SolutionSet:
     if a == 0:
         raise ZeroLeadingCoefficientError("leading coefficient is zero; use solve_linear")
     pol = polar_decompose(a)
-    shift = -complex_div(b, 2 * a)
+    shift = _in_float_range(-complex_div(b, 2 * a), "offset")
     disc = b * b - 4 * a * c
-    anchor = complex_div(disc, complex(4 * pol.r * a.real, 4 * pol.r * a.imag))
+    anchor = _in_float_range(complex_div(disc, complex(4 * pol.r * a.real, 4 * pol.r * a.imag)))
     region = Region(anchor, (Sqrt(),))
     half = pol.theta / 2.0
     if half != 0.0:

@@ -68,6 +68,15 @@ class TestSolve:
         assert len(lines) == 1 and lines[0].startswith("lexineq: error:")
         assert "overflows the float range" in lines[0]
 
+    @pytest.mark.parametrize("text", ["(1e-300)*Z >= 1e300", "(1e-300)/(Z-1) >= 1e300"])
+    def test_threshold_overflow_exit_code(self, capsys, text):
+        # the threshold is 1e600: refused as out of the float range, not as a bad region field
+        status, out, err = run(capsys, "solve", text)
+        assert status == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("lexineq: error:")
+        assert "float range" in lines[0]
+
     def test_strict_degenerate(self, capsys):
         status, _, err = run(capsys, "solve", "(Z + 1)/(Z + 1) >= 0", "--strict")
         assert status == 1

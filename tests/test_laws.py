@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from lexineq.errors import UnknownLawError
@@ -12,8 +13,11 @@ from lexineq.laws import (
     check_all,
     check_law,
     is_law,
+    le,
+    lt,
     recheck,
 )
+from lexineq.lexorder import Ordering, lex_cmp, lex_le
 
 GENUINE = [law for law in LAW_IDS if is_law(law)]
 NON_LAWS = [law for law in LAW_IDS if not is_law(law)]
@@ -137,3 +141,47 @@ def test_recheck_accepts_law_on_samples(law_id):
         "NegativeScalingReversal": (1 + 1j, 1 + 2j, -2.5 + 0j),
     }
     assert recheck(law_id, tuples[law_id]) is True
+
+
+@pytest.mark.parametrize("seed, witness", [
+    (0, (-3.75 + 3.125j, 7.5 - 4j, -3.125 - 3j)),
+    (42, (-1.125 - 3.875j, 1 - 6.25j, -5 - 7.625j)),
+])
+def test_reports_pinned(seed, witness):
+    # fixed across commits, not only between two runs: the sampling order is part of the output
+    reports = check_all(samples=10_000, seed=seed)
+    assert [r.outcome for r in reports if is_law(r.law_id)] == ["pass"] * len(GENUINE)
+    (non_law,) = [r for r in reports if not is_law(r.law_id)]
+    assert non_law.law_id == "ComplexScalarMonotonicity"
+    assert non_law.outcome == "counterexample" and non_law.witness == witness
+
+
+@pytest.mark.parametrize("law_id, witness, match", [
+    ("Reflexivity", (1j, 2j), "takes 1 operands"),
+    ("Additivity", (0j, 1j, 2j), "takes 4 operands"),
+    ("PositiveScaling", (1 + 1j, 1 + 2j, complex(2, float("inf"))), "finite"),
+    ("TermMoving", (complex(float("nan"), 0), 1j, 2j), "finite"),
+    ("PositiveScaling", (1 + 1j, 1 + 2j, 2.5 + 7j), "positive real factor"),
+    ("PositiveScaling", (1 + 1j, 1 + 2j, 0j), "positive real factor"),
+    ("PositiveScaling", (1 + 1j, 1 + 2j, -2.5 + 0j), "positive real factor"),
+    ("NegativeScalingReversal", (1 + 1j, 1 + 2j, 2.5 + 0j), "negative real factor"),
+    ("NegativeScalingReversal", (1 + 1j, 1 + 2j, -2.5 - 1j), "negative real factor"),
+])
+def test_recheck_refuses_witness_outside_domain(law_id, witness, match):
+    with pytest.raises(ValueError, match=match):
+        recheck(law_id, witness)
+
+
+def test_shared_comparison_agrees_with_lexorder():
+    # every ordered pair of a 5x5 lattice: real ties, full ties and signed zeros
+    coords = (-1.0, -0.0, 0.0, 0.5, 1.0)
+    points = [complex(x, y) for x in coords for y in coords]
+    pairs = [(a, b) for a in points for b in points]
+    want_le = [lex_le(a, b) for a, b in pairs]
+    want_lt = [lex_cmp(a, b) is Ordering.LESS for a, b in pairs]
+    assert [le((a.real, a.imag), (b.real, b.imag)) for a, b in pairs] == want_le
+    assert [lt((a.real, a.imag), (b.real, b.imag)) for a, b in pairs] == want_lt
+    a = (np.array([p[0].real for p in pairs]), np.array([p[0].imag for p in pairs]))
+    b = (np.array([p[1].real for p in pairs]), np.array([p[1].imag for p in pairs]))
+    assert le(a, b).tolist() == want_le
+    assert lt(a, b).tolist() == want_lt

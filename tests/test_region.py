@@ -21,7 +21,6 @@ from lexineq.region import (
     classify,
     contains,
     membership_grid,
-    normalize,
     principal_angle,
 )
 
@@ -165,38 +164,6 @@ class TestGrid:
         codes = membership_grid(region, zr, zi)
         for k in range(zr.shape[0]):
             assert codes[k] == int(contains(region, complex(zr[k], zi[k])))
-
-
-class TestNormalize:
-    def test_drops_identities(self):
-        r = Region(1j, (Rotate(0.0), Scale(1.0), Translate(0j), Sqrt()))
-        assert normalize(r).transforms == (Sqrt(),)
-
-    def test_merges_adjacent(self):
-        r = Region(0j, (Rotate(0.5), Rotate(0.75), Scale(2.0), Scale(0.5), Translate(1j), Translate(2 + 0j)))
-        n = normalize(r)
-        assert n.transforms == (Rotate(1.25), Translate(2 + 1j))
-
-    def test_opposite_rotations_cancel(self):
-        r = Region(0j, (Rotate(1.0), Rotate(-1.0)))
-        assert normalize(r).transforms == ()
-
-    def test_inversions_do_not_merge(self):
-        r = Region(1 + 0j, (Invert(), Invert()))
-        assert normalize(r).transforms == (Invert(), Invert())
-
-    def test_membership_preserved(self):
-        rng = np.random.default_rng(8)
-        region = Region(0.25 + 0.5j, (Rotate(0.4), Rotate(-0.1), Scale(2.0), Scale(0.5), Translate(1 + 0j)))
-        flat = normalize(region)
-        for _ in range(200):
-            w = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            # both chains pull w back to nearly the same point; skip probes
-            # within 1e-9 of the base boundary
-            pulled = (w - (1 + 0j)) * complex(math.cos(0.3), math.sin(0.3))
-            if abs(pulled.real - 0.25) < 1e-9:
-                continue
-            assert contains(region, w) is contains(flat, w)
 
 
 class TestClassify:
