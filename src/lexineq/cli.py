@@ -16,7 +16,6 @@ their shortest round-trippable decimals.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from typing import TYPE_CHECKING, Sequence
@@ -91,8 +90,8 @@ def region_from_json(doc: dict) -> Region:
 
 def problem_to_json(problem) -> dict:
     doc = {"kind": problem_kind(problem)}
-    for f in dataclasses.fields(problem):
-        doc[f.name] = complex_to_json(getattr(problem, f.name))
+    for name in problem._fields:
+        doc[name] = complex_to_json(getattr(problem, name))
     return doc
 
 

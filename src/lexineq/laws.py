@@ -23,11 +23,10 @@ reports are byte-identical across runs for a fixed seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._kernels import at_least
+from ._record import record
 from .errors import UnknownLawError
 from .lexorder import require_finite
 
@@ -41,7 +40,7 @@ __all__ = ["LawReport", "LAW_IDS", "MAX_SAMPLES", "check_law", "check_all", "rec
 MAX_SAMPLES = 1 << 22
 
 
-@dataclass(frozen=True)
+@record
 class LawReport:
     law_id: str
     samples: int

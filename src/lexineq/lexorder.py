@@ -13,10 +13,10 @@ break antisymmetry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import IntEnum
 
 from . import _kernels
+from ._record import record
 
 __all__ = [
     "Ordering",
@@ -76,7 +76,7 @@ def lex_ge(a: complex, b: complex) -> bool:
     return lex_cmp(a, b) is not Ordering.LESS
 
 
-@dataclass(frozen=True)
+@record
 class Polar:
     """Modulus/argument form; ``theta`` is the principal argument in (-pi, pi]."""
 

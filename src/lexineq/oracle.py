@@ -21,10 +21,10 @@ and the scalar commands built on them start without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Union
 
 from . import _kernels
+from ._record import record
 from .errors import PoleError
 from .lexorder import require_finite
 from .region import Membership, Region, membership_grid
@@ -70,7 +70,7 @@ MAX_CELLS = 1 << 24
 _TILE_POINTS = 16384
 
 
-@dataclass(frozen=True)
+@record
 class GridSpec:
     """Rectangular probe window with per-axis sample counts."""
 
@@ -148,7 +148,7 @@ def default_grid() -> GridSpec:
     return GridSpec(-5.0, 5.0, -5.0, 5.0, 201, 201)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Bitmap:
     """Membership raster; ``cells`` is row-major uint8 of length nx*ny.
 
@@ -205,7 +205,7 @@ class Mismatch(NamedTuple):
     got: Membership       # region/solution membership
 
 
-@dataclass(frozen=True)
+@record
 class VerificationReport:
     total: int
     skipped_boundary: int

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import math
 import re as _re
-from dataclasses import dataclass
 from typing import Union
 
+from ._record import record
 from .errors import MultipleVariablesError, NonIntegerExponentError, ParseError
 from .lexorder import complex_div
 
@@ -66,7 +66,7 @@ def _clean_component(x: float) -> float:
     return x + 0.0
 
 
-@dataclass(frozen=True)
+@record
 class Lit:
     value: complex
 
@@ -77,41 +77,41 @@ class Lit:
         object.__setattr__(self, "value", v)
 
 
-@dataclass(frozen=True)
+@record
 class Var:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Neg:
     operand: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class Add:
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class Sub:
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class Mul:
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class Div:
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class Pow:
     base: "Expr"
     exponent: int
@@ -124,7 +124,7 @@ class Pow:
 Expr = Union[Lit, Var, Neg, Add, Sub, Mul, Div, Pow]
 
 
-@dataclass(frozen=True)
+@record
 class SourceExpr:
     """A parsed inequality; ``relation`` is always '>=' after
     normalization (a '<=' input swaps the sides)."""
@@ -146,7 +146,7 @@ _TOKEN_RE = _re.compile(
 )
 
 
-@dataclass(frozen=True)
+@record
 class _Token:
     kind: str  # num | ident | rel | and | op | end
     text: str

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import TYPE_CHECKING, Union
 
 from . import _kernels
+from ._record import record
 from .errors import NonPositiveScaleError
 from .lexorder import require_finite
 
@@ -72,7 +72,7 @@ def principal_angle(theta: float) -> float:
     return r
 
 
-@dataclass(frozen=True)
+@record
 class Rotate:
     """Rotation about the origin; stored angle is reduced to (-pi, pi]."""
 
@@ -82,7 +82,7 @@ class Rotate:
         object.__setattr__(self, "theta", principal_angle(self.theta))
 
 
-@dataclass(frozen=True)
+@record
 class Scale:
     """Dilation about the origin by a strictly positive factor."""
 
@@ -93,7 +93,7 @@ class Scale:
             raise NonPositiveScaleError(f"scale factor must be finite and > 0, got {self.r!r}")
 
 
-@dataclass(frozen=True)
+@record
 class Translate:
     offset: complex
 
@@ -101,12 +101,12 @@ class Translate:
         require_finite(self.offset, "translation offset")
 
 
-@dataclass(frozen=True)
+@record
 class Invert:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Sqrt:
     pass
 
@@ -118,7 +118,7 @@ _KIND_CODE = {Rotate: _kernels.KIND_ROTATE, Scale: _kernels.KIND_SCALE,
               Sqrt: _kernels.KIND_SQRT}
 
 
-@dataclass(frozen=True)
+@record
 class Region:
     """Transform chain over a base half-plane.
 
@@ -128,7 +128,7 @@ class Region:
     """
 
     base: complex
-    transforms: tuple[Transform, ...] = field(default=())
+    transforms: tuple[Transform, ...] = ()
 
     def __post_init__(self):
         require_finite(self.base, "base anchor")
@@ -194,13 +194,13 @@ def apply_transform(region: Region, transform: Transform) -> Region:
     return Region(region.base, region.transforms + (transform,))
 
 
-@dataclass(frozen=True)
+@record
 class VerticalHalfPlane:
     boundary_re: float
     boundary_note: str
 
 
-@dataclass(frozen=True)
+@record
 class ObliqueHalfPlane:
     """Half-plane with boundary normal at ``normal_angle`` and offset
     ``offset`` along it (boundary line: z . (cos, sin) = offset)."""
@@ -210,14 +210,14 @@ class ObliqueHalfPlane:
     boundary_note: str
 
 
-@dataclass(frozen=True)
+@record
 class Disc:
     center: complex
     radius: float
     boundary_note: str
 
 
-@dataclass(frozen=True)
+@record
 class HyperbolaDomain:
     a1: float
     connected: bool
@@ -225,7 +225,7 @@ class HyperbolaDomain:
     boundary_note: str
 
 
-@dataclass(frozen=True)
+@record
 class Generic:
     boundary_note: str
 

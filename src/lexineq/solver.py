@@ -17,11 +17,11 @@ pullback walk, which is correct for all parameter signs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Union
 
 from . import _kernels
+from ._record import record
 from .errors import DegenerateFractionError, ZeroLeadingCoefficientError
 from .lexorder import complex_div, lex_le, polar_decompose, require_finite
 from .region import (
@@ -57,7 +57,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class Linear:
     """A*Z - B >= 0."""
 
@@ -69,7 +69,7 @@ class Linear:
         require_finite(self.b, "coefficient b")
 
 
-@dataclass(frozen=True)
+@record
 class LinearSystem:
     """A*Z - B >= 0 and C*Z - D >= 0."""
 
@@ -83,7 +83,7 @@ class LinearSystem:
             require_finite(getattr(self, name), f"coefficient {name}")
 
 
-@dataclass(frozen=True)
+@record
 class Fractional:
     """(A*Z + B) / (Z + C) >= D.
 
@@ -102,7 +102,7 @@ class Fractional:
             require_finite(getattr(self, name), f"coefficient {name}")
 
 
-@dataclass(frozen=True)
+@record
 class Quadratic:
     """A*Z^2 + B*Z + C >= 0 with A != 0."""
 
@@ -125,14 +125,14 @@ class SolutionKind(str, Enum):
     EMPTY = "empty"
 
 
-@dataclass(frozen=True)
+@record
 class SolutionSet:
     """Solver output: one region, an intersection of regions, or a
     constant answer, plus pole points removed from the set."""
 
     kind: SolutionKind
-    regions: tuple[Region, ...] = field(default=())
-    excluded_points: tuple[complex, ...] = field(default=())
+    regions: tuple[Region, ...] = ()
+    excluded_points: tuple[complex, ...] = ()
     note: str | None = None
 
     def __post_init__(self):
@@ -164,7 +164,8 @@ class SolutionSet:
 
 def _in_float_range(z: complex, what: str = "threshold") -> complex:
     """Refuse a solution parameter whose computation from finite
-    coefficients overflowed, e.g. B/r = 1e600 for ``(1e-300)*Z >= 1e300``."""
+    coefficients overflowed, e.g. B/r = 1e600 for ``(1e-300)*Z >= 1e300``,
+    or the modulus r = |1.5e308+1.5e308i| that B is divided by."""
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"computing the solution {what} overflows the float range (about 1.8e308)")
     return z
@@ -184,7 +185,8 @@ def solve_linear(a: complex, b: complex) -> SolutionSet:
             return SolutionSet.universe(note="zero leading coefficient; inequality is constant")
         return SolutionSet.empty(note="zero leading coefficient; inequality is constant")
     pol = polar_decompose(a)
-    anchor = _in_float_range(complex(b.real / pol.r, b.imag / pol.r))
+    r = _in_float_range(pol.r, "scale |A|")
+    anchor = _in_float_range(complex(b.real / r, b.imag / r))
     region = Region(anchor)
     if pol.theta != 0.0:
         region = apply_transform(region, Rotate(-pol.theta))
@@ -229,7 +231,8 @@ def solve_fractional(a: complex, b: complex, c: complex, d: complex,
             return SolutionSet.universe(excluded_points=(pole,), note=note)
         return SolutionSet.empty(excluded_points=(pole,), note=note)
     pol = polar_decompose(w)
-    anchor = _in_float_range(complex((d - a).real / pol.r, (d - a).imag / pol.r))
+    r = _in_float_range(pol.r, "scale |B - A*C|")
+    anchor = _in_float_range(complex((d - a).real / r, (d - a).imag / r))
     region = Region(anchor, (Invert(),))
     if pol.theta != 0.0:
         region = apply_transform(region, Rotate(pol.theta))

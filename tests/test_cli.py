@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -76,6 +77,20 @@ class TestSolve:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("lexineq: error:")
         assert "float range" in lines[0]
+
+    @pytest.mark.parametrize("text", ["(1.5e308+1.5e308i)*Z >= 1e308",
+                                      "(1.5e308+1.5e308i)/Z >= 1"])
+    @pytest.mark.parametrize("flags", [(), ("--verify",)], ids=["plain", "verify"])
+    def test_modulus_overflow_refused(self, capsys, text, flags):
+        # |A| (|B - A*C|) is beyond the float range although both components
+        # are finite; dividing by it used to give the base anchor 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            status, out, err = run(capsys, "solve", text, *flags)
+        assert status == 1 and out == "" and caught == []
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("lexineq: error:")
+        assert "overflows the float range" in lines[0]
 
     def test_strict_degenerate(self, capsys):
         status, _, err = run(capsys, "solve", "(Z + 1)/(Z + 1) >= 0", "--strict")
