@@ -2,10 +2,13 @@
 
 The helpers in ``_kernels`` that do only ``+ - * /`` run unchanged on
 arrays, so this module adds only what arrays need: Smith's branch chosen
-lane by lane with ``np.where``, pole lanes kept in a mask, and values
-turned into membership codes and margins.  Results are bit-identical to
-the scalar path.  Complex dtype is deliberately avoided: numpy's own
-complex division rounds differently from the shared Smith helper.
+lane by lane with ``np.where``, pole lanes kept in a mask, and the two
+reductions of the computed values.  :func:`codes` turns the decision
+into membership codes, which is all a raster needs; :func:`margins`
+computes the tie margins that only verification reads, and only the
+callers that read them run it.  Results are bit-identical to the scalar
+path.  Complex dtype is deliberately avoided: numpy's own complex
+division rounds differently from the shared Smith helper.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from ._kernels import IN, OUT, POLE
+from ._kernels import IN, KIND_INVERT, POLE
 
 
 def cdiv(ar, ai, br, bi):
@@ -33,40 +36,56 @@ def tie_margin(dr, di):
     return np.where(dr != 0.0, np.abs(dr), np.abs(di))
 
 
-def _finish(inside, margins, pole):
-    codes = np.where(inside, IN, OUT).astype(np.uint8)
-    codes[pole] = POLE
-    margins[pole] = np.inf
-    return codes, margins
-
-
-def codes_margins(values, pole):
-    """Codes and margins of the conjunction "every value >= 0".
-
-    ``values`` holds one ``(re, im)`` pair of arrays per constraint; the
-    margin is the smallest tie margin over them.  Lanes set in ``pole``
-    become POLE with an infinite margin.
-    """
+def at_least_zero(values):
+    """Lanes where every ``(re, im)`` pair of ``values`` is >= 0."""
     (vr, vi), *rest = values
     inside = _kernels.at_least(vr, vi, 0.0, 0.0)
-    margins = tie_margin(vr, vi)
     for vr, vi in rest:
         inside &= _kernels.at_least(vr, vi, 0.0, 0.0)
-        margins = np.minimum(margins, tie_margin(vr, vi))
-    return _finish(inside, margins, pole)
+    return inside
 
 
-def region_grid(a1, a2, kinds, pa, pb, zr, zi):
-    """Codes and margins of an encoded region at every lane.
+def codes(inside, pole, out=None):
+    """uint8 membership codes: IN where ``inside``, OUT elsewhere.
 
-    The margin is the tie margin of the pulled-back probe against the
-    base anchor; lanes that hit an inversion's pole are POLE.
+    Lanes set in ``pole`` (None when no lane can be a pole) become POLE.
+    Like a numpy ufunc, writes into ``out`` when given, else into a new
+    array, and returns it.
     """
-    pole = np.zeros(zr.shape, dtype=bool)
+    # OUT is 0, so a True lane times IN is IN and a False lane OUT
+    out = np.multiply(inside.view(np.uint8), IN, out=out)
+    if pole is not None:
+        out[pole] = POLE
+    return out
+
+
+def margins(values, pole):
+    """Smallest tie margin over the ``(re, im)`` pairs of ``values``.
+
+    Infinite where ``pole`` is set (None when no lane can be a pole).
+    The pairs are taken one at a time, so an iterator of them need hold
+    only one pair's arrays at once.
+    """
+    result = None
+    for vr, vi in values:
+        margin = tie_margin(vr, vi)
+        result = margin if result is None else np.minimum(result, margin, out=result)
+    if pole is not None:
+        result[pole] = np.inf
+    return result
+
+
+def pull_back(kinds, pa, pb, zr, zi):
+    """:func:`_kernels.pull_back` of every lane: ``(wr, wi, pole)``.
+
+    ``pole`` marks the lanes that hit an inversion's pole; it is None
+    when the chain has no inversion.
+    """
+    pole = np.zeros(zr.shape, dtype=bool) if KIND_INVERT in kinds else None
 
     def invert(wr, wi):
         pole[(wr == 0.0) & (wi == 0.0)] = True
         return cdiv(1.0, 0.0, wr, wi)
 
     wr, wi = _kernels.pull_back(kinds, pa, pb, zr, zi, invert)
-    return _finish(_kernels.at_least(wr, wi, a1, a2), tie_margin(wr - a1, wi - a2), pole)
+    return wr, wi, pole

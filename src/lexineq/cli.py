@@ -7,10 +7,11 @@ Commands::
     lexineq raster EXPR --window a,b,c,d --res nx,ny --out PATH [--format pgm|csv]
     lexineq laws [--seed N] [--samples N]
 
-Exit status: 0 on success; 1 on parse/classification errors; 2 when
---verify finds a mismatch.  All outputs are deterministic for fixed
-inputs and seed: dictionaries are emitted in fixed order and floats as
-their shortest round-trippable decimals.
+Exit status: 0 on success; 1 on parse/classification errors and on an
+output file that cannot be written; 2 when --verify finds a mismatch.
+All outputs are deterministic for fixed inputs and seed: dictionaries
+are emitted in fixed order and floats as their shortest round-trippable
+decimals.
 """
 
 from __future__ import annotations
@@ -281,7 +282,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "raster":
             return _cmd_raster(args)
         return _cmd_laws(args)
-    except (LexineqError, ParseError, ValueError, ZeroDivisionError) as exc:
+    except (LexineqError, ParseError, ValueError, ZeroDivisionError, OSError) as exc:
         sys.stderr.write(f"lexineq: error: {exc}\n")
         return 1
 

@@ -7,6 +7,11 @@ same evaluation on arrays.  It knows nothing about regions or solution chains,
 so any solver bug shows up as a disagreement when :func:`verify` sweeps
 a grid and compares both answers pointwise.
 
+A raster needs only that decision per cell, so :func:`sample_raster`
+reduces the computed values to membership codes alone.  The tie margins
+are computed only by :func:`verify` and the APIs that return them,
+:func:`problem_grid` and ``solver.solution_grid_margin``.
+
 Probes too close to the order's decision boundary are excluded by a
 margin test rather than asserted: two different but mathematically
 equivalent float computations may legitimately round to different sides
@@ -58,15 +63,16 @@ __all__ = [
 
 DEFAULT_EPS = 1e-6
 
-# Largest grid accepted, in cells.  Evaluation needs one tile of float64
-# temporaries plus one byte per cell, but the PGM and CSV writers build
-# the whole file text as one string (2 and about 20-50 bytes per cell),
-# so the cap keeps a CSV under a gigabyte.
+# Largest grid accepted, in cells.  A raster needs one tile of float64
+# temporaries plus one byte per cell (its code), whatever the row width,
+# but the PGM and CSV writers build the whole file text as one string (2
+# and about 20-50 bytes per cell), so the cap keeps a CSV under a gigabyte.
 MAX_CELLS = 1 << 24
 
-# Grid points evaluated at once.  Each tile's float64 temporaries (a dozen
-# or so arrays of this length) then stay in the L2 cache; 16384 points is
-# about 128 KiB per array.
+# Most grid points evaluated at once, whatever the row width: a row longer
+# than this is split across tiles.  Each tile's float64 temporaries (a
+# dozen or so arrays of this length) then stay in the L2 cache; 16384
+# points is about 128 KiB per array.
 _TILE_POINTS = 16384
 
 
@@ -82,6 +88,9 @@ class GridSpec:
     ny: int
 
     def __post_init__(self):
+        bounds = (self.re_min, self.re_max, self.im_min, self.im_max)
+        if not all(math.isfinite(b) for b in bounds):
+            raise ValueError(f"window bounds must be finite, got {bounds}")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ValueError("window bounds must satisfy re_min < re_max and im_min < im_max")
         if self.nx < 2 or self.ny < 2:
@@ -91,10 +100,10 @@ class GridSpec:
                              f"{MAX_CELLS} cells")
 
     def re_axis(self) -> np.ndarray:
-        return _axis(self.re_min, self.re_max, self.nx)
+        return _axis(self.re_min, self.re_max, self.nx, 0, self.nx)
 
     def im_axis(self) -> np.ndarray:
-        return _axis(self.im_min, self.im_max, self.ny)
+        return _axis(self.im_min, self.im_max, self.ny, 0, self.ny)
 
     def points(self) -> tuple[np.ndarray, np.ndarray]:
         """Flat coordinate arrays, row-major: imaginary axis outer, real inner."""
@@ -107,20 +116,34 @@ class GridSpec:
         return zr, zi
 
     def tiles(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """The points of :meth:`points` in blocks of whole rows.
+        """The points of :meth:`points` in blocks of at most ``_TILE_POINTS``.
 
-        Yields ``(start, zr, zi)``, where ``start`` is the flat index of
-        the block's first point; concatenated in order, the blocks equal
-        :meth:`points` bit for bit.
+        A block holds whole rows when a row fits in a tile, and part of
+        one row otherwise.  Yields ``(start, zr, zi)``, where ``start``
+        is the flat index of the block's first point; concatenated in
+        order, the blocks equal :meth:`points` bit for bit.  The ``zr``
+        arrays are read-only; blocks of whole rows share one real axis
+        tiled once.
         """
         import numpy as np
 
-        re = self.re_axis()
+        nx = self.nx
         im = self.im_axis()
-        rows = max(1, _TILE_POINTS // self.nx)
+        if nx > _TILE_POINTS:
+            # each piece of the real axis is computed again for every row,
+            # so no array as long as a row is ever held
+            for r in range(self.ny):
+                for c0 in range(0, nx, _TILE_POINTS):
+                    zr = _axis(self.re_min, self.re_max, nx, c0, min(c0 + _TILE_POINTS, nx))
+                    zr.flags.writeable = False
+                    yield r * nx + c0, zr, np.full(zr.shape, im[r])
+            return
+        rows = _TILE_POINTS // nx
+        tiled = np.tile(self.re_axis(), min(rows, self.ny))
+        tiled.flags.writeable = False
         for r0 in range(0, self.ny, rows):
             block = im[r0:r0 + rows]
-            yield r0 * self.nx, np.tile(re, block.shape[0]), np.repeat(block, self.nx)
+            yield r0 * nx, tiled[:block.shape[0] * nx], np.repeat(block, nx)
 
     @property
     def cell_diagonal(self) -> float:
@@ -129,17 +152,18 @@ class GridSpec:
         return math.hypot(dx, dy)
 
 
-def _axis(lo: float, hi: float, n: int) -> np.ndarray:
-    """Endpoint-inclusive axis by exact interpolation.
+def _axis(lo: float, hi: float, n: int, start: int, stop: int) -> np.ndarray:
+    """Points ``start:stop`` of an endpoint-inclusive axis of ``n`` points.
 
-    ``lo*(1-t) + hi*t`` with t = i/(n-1) makes the endpoints exact and,
-    for a symmetric window with an odd count, puts 0.0 exactly on the
-    grid (t = 0.5 is an exact binary value).  ``linspace`` does not
-    guarantee that.
+    Exact interpolation ``lo*(1-t) + hi*t`` with t = i/(n-1) makes the
+    endpoints exact and, for a symmetric window with an odd count, puts
+    0.0 exactly on the grid (t = 0.5 is an exact binary value).
+    ``linspace`` does not guarantee that.  Each point depends on its own
+    index only, so any slice of the axis can be computed alone.
     """
     import numpy as np
 
-    t = np.arange(n, dtype=np.float64) / (n - 1)
+    t = np.arange(start, stop, dtype=np.float64) / (n - 1)
     return lo * (1.0 - t) + hi * t
 
 
@@ -297,12 +321,20 @@ def problem_grid(problem: InequalityProblem, zr: np.ndarray,
 
     zr = np.ascontiguousarray(zr, dtype=np.float64)
     zi = np.ascontiguousarray(zi, dtype=np.float64)
+    values, pole = _problem_lanes(problem, zr, zi)
+    codes = _grid.codes(_grid.at_least_zero(values), pole)
+    return codes, _grid.margins(values, pole)
+
+
+def _problem_lanes(problem: InequalityProblem, zr: np.ndarray, zi: np.ndarray):
+    """Constraint values at float64 lanes, and the pole mask (None if no pole)."""
+    from . import _grid
+
     values = _constraint_values(problem, zr, zi, _grid.cdiv)
+    pole = None
     if isinstance(problem, Fractional):
         pole = (zr + problem.c.real == 0.0) & (zi + problem.c.imag == 0.0)
-    else:
-        pole = np.zeros(zr.shape, dtype=bool)
-    return _grid.codes_margins(values, pole)
+    return values, pole
 
 
 def verify(problem: InequalityProblem, solution: SolutionSet,
@@ -352,18 +384,25 @@ def verify(problem: InequalityProblem, solution: SolutionSet,
 
 
 def sample_raster(source: Union[Region, InequalityProblem], grid: GridSpec) -> Bitmap:
-    """Evaluate membership of a region or inequality at every grid point."""
+    """Evaluate membership of a region or inequality at every grid point.
+
+    Only membership codes are computed, tile by tile straight into the
+    raster; the margins :func:`problem_grid` also reports are not.
+    """
     import numpy as np
 
+    from . import _grid
+
     if isinstance(source, Region):
-        def codes(zr, zi):
-            return membership_grid(source, zr, zi)
+        def fill(zr, zi, out):
+            out[:] = membership_grid(source, zr, zi)
     elif isinstance(source, (Linear, LinearSystem, Fractional, Quadratic)):
-        def codes(zr, zi):
-            return problem_grid(source, zr, zi)[0]
+        def fill(zr, zi, out):
+            values, pole = _problem_lanes(source, zr, zi)
+            _grid.codes(_grid.at_least_zero(values), pole, out)
     else:
         raise TypeError(f"cannot rasterize {source!r}")
     cells = np.empty(grid.nx * grid.ny, dtype=np.uint8)
     for start, zr, zi in grid.tiles():
-        cells[start:start + zr.shape[0]] = codes(zr, zi)
+        fill(zr, zi, cells[start:start + zr.shape[0]])
     return Bitmap(grid=grid, cells=cells)

@@ -186,7 +186,8 @@ def membership_grid(region: Region, zr: np.ndarray, zi: np.ndarray) -> np.ndarra
     a1, a2, kinds, pa, pb = _encode(region)
     zr = np.ascontiguousarray(zr, dtype=np.float64)
     zi = np.ascontiguousarray(zi, dtype=np.float64)
-    return _grid.region_grid(a1, a2, kinds, pa, pb, zr, zi)[0]
+    wr, wi, pole = _grid.pull_back(kinds, pa, pb, zr, zi)
+    return _grid.codes(_kernels.at_least(wr, wi, a1, a2), pole)
 
 
 def apply_transform(region: Region, transform: Transform) -> Region:

@@ -307,8 +307,10 @@ def solution_contains(solution: SolutionSet, z: complex) -> Membership:
 
 def solution_grid(solution: SolutionSet, zr: np.ndarray, zi: np.ndarray) -> np.ndarray:
     """Vectorized :func:`solution_contains` over flat coordinate arrays."""
-    codes, _ = solution_grid_margin(solution, zr, zi)
-    return codes
+    from . import _grid
+
+    inside, pole, _ = _solution_lanes(solution, zr, zi)
+    return _grid.codes(inside, pole)
 
 
 def solution_grid_margin(solution: SolutionSet, zr: np.ndarray,
@@ -322,33 +324,61 @@ def solution_grid_margin(solution: SolutionSet, zr: np.ndarray,
     """
     import numpy as np
 
-    zr = np.ascontiguousarray(zr, dtype=np.float64)
-    zi = np.ascontiguousarray(zi, dtype=np.float64)
-    if solution.kind is SolutionKind.ALL:
-        codes = np.full(zr.shape, _kernels.IN, dtype=np.uint8)
-        margins = np.full(zr.shape, np.inf)
-    elif solution.kind is SolutionKind.EMPTY:
-        codes = np.full(zr.shape, _kernels.OUT, dtype=np.uint8)
-        margins = np.full(zr.shape, np.inf)
-    else:
-        codes, margins = _region_grid_margin(solution.regions[0], zr, zi)
-        for region in solution.regions[1:]:
-            other, other_m = _region_grid_margin(region, zr, zi)
-            pole = (codes == _kernels.POLE) | (other == _kernels.POLE)
-            both_in = (codes == _kernels.IN) & (other == _kernels.IN)
-            codes = np.where(both_in, _kernels.IN, _kernels.OUT).astype(np.uint8)
-            codes[pole] = _kernels.POLE
-            margins = np.minimum(margins, other_m)
-            margins[pole] = np.inf
-    for p in solution.excluded_points:
-        hit = (zr == p.real) & (zi == p.imag)
-        codes[hit] = _kernels.POLE
-        margins[hit] = np.inf
-    return codes, margins
-
-
-def _region_grid_margin(region: Region, zr, zi):
     from . import _grid
 
-    a1, a2, kinds, pa, pb = _encode(region)
-    return _grid.region_grid(a1, a2, kinds, pa, pb, zr, zi)
+    inside, pole, pulled = _solution_lanes(solution, zr, zi)
+    codes = _grid.codes(inside, pole)
+    if not pulled:
+        return codes, np.full(codes.shape, np.inf)
+    return codes, _grid.margins(_offsets(pulled), pole)
+
+
+def _offsets(pulled):
+    """Each region's pulled-back probes minus its base anchor.
+
+    Pops the regions, so each one's arrays are freed once its margin is
+    taken.
+    """
+    while pulled:
+        wr, wi, a1, a2 = pulled.pop()
+        yield wr - a1, wi - a2
+
+
+def _solution_lanes(solution: SolutionSet, zr, zi):
+    """What both grid functions reduce: ``(inside, pole, pulled)``.
+
+    ``inside`` holds every region's base half-plane test, ``pole`` the
+    lanes that hit a region's pole or an excluded point (None when no
+    lane can), and ``pulled`` one ``(wr, wi, a1, a2)`` per region: the
+    pulled-back probes and the base anchor, from which the margins are
+    computed.
+    """
+    import numpy as np
+
+    from . import _grid
+
+    zr = np.ascontiguousarray(zr, dtype=np.float64)
+    zi = np.ascontiguousarray(zi, dtype=np.float64)
+    inside = pole = None
+    pulled = []
+    for region in solution.regions:
+        a1, a2, kinds, pa, pb = _encode(region)
+        wr, wi, region_pole = _grid.pull_back(kinds, pa, pb, zr, zi)
+        base = _kernels.at_least(wr, wi, a1, a2)
+        inside = base if inside is None else np.logical_and(inside, base, out=inside)
+        pole = _either(pole, region_pole)
+        pulled.append((wr, wi, a1, a2))
+    if inside is None:
+        inside = np.full(zr.shape, solution.kind is SolutionKind.ALL)
+    for p in solution.excluded_points:
+        pole = _either(pole, (zr == p.real) & (zi == p.imag))
+    return inside, pole, pulled
+
+
+def _either(a, b):
+    """Union of two optional lane masks (None is the empty mask)."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return a | b

@@ -52,6 +52,14 @@ class TestSolve:
         doc = json.loads(path.read_text())
         assert doc["solution"]["regions"][0]["base"] == {"re": 1.0, "im": 0.0}
 
+    def test_unwritable_json_path(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "doc.json"
+        status, out, err = run(capsys, "solve", "Z >= 0", "--json", str(path))
+        assert status == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("lexineq: error:")
+        assert str(path) in lines[0]
+
     def test_parse_error_exit_code(self, capsys):
         status, _, err = run(capsys, "solve", "Z >=")
         assert status == 1
@@ -178,6 +186,27 @@ class TestRaster:
     def test_bad_window(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["raster", "Z >= 0", "--window", "1,2,3", "--out", "x.pgm"])
+
+    @pytest.mark.parametrize("window", ["-inf,1,-1,1", "-1,1,-1,inf"])
+    def test_non_finite_window(self, capsys, tmp_path, window):
+        path = tmp_path / "out.pgm"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status, out, err = run(capsys, "raster", "Z >= 0", f"--window={window}",
+                                   "--res", "5,5", "--out", str(path))
+        assert status == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("lexineq: error:")
+        assert "finite" in lines[0]
+        assert not path.exists()
+
+    def test_unwritable_output_path(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "out.pgm"
+        status, out, err = run(capsys, "raster", "Z >= 0", "--res", "3,3", "--out", str(path))
+        assert status == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("lexineq: error:")
+        assert str(path) in lines[0]
 
 
 class TestLaws:

@@ -2,7 +2,7 @@
 
 ``_grid`` runs the plain-float helpers of ``_kernels`` themselves on
 arrays, adding only the lane-wise choice of Smith's branch, pole masks
-and the reduction to codes and margins.  So every grid result
+and the two reductions, to codes and to margins.  So every grid result
 (membership codes and margins) must equal the scalar path applied point
 by point, for every problem class; these tests check that the array
 parts (branch selection, pole masks, intersections and excluded points)
@@ -16,7 +16,14 @@ import pytest
 
 from lexineq import _kernels
 from lexineq.errors import PoleError
-from lexineq.oracle import _values, boundary_margin, eval_direct, problem_grid
+from lexineq.oracle import (
+    GridSpec,
+    _values,
+    boundary_margin,
+    eval_direct,
+    problem_grid,
+    sample_raster,
+)
 from lexineq.region import (
     Invert,
     Membership,
@@ -36,6 +43,7 @@ from lexineq.solver import (
     Quadratic,
     SolutionSet,
     solution_contains,
+    solution_grid,
     solution_grid_margin,
     solve,
 )
@@ -107,8 +115,8 @@ class TestBitEquality:
             assert codes.tolist() == expected
 
     def test_region_grids(self):
-        """region_grid, through a one-region solution, against the
-        scalar pullback and tie margin."""
+        """One region's codes and margins, through a one-region solution,
+        against the scalar pullback and tie margin."""
         rng = np.random.default_rng(42)
         zr, zi = _coords(rng, 60)
         for _ in range(40):
@@ -157,3 +165,57 @@ class TestBitEquality:
         points = _points(zr, zi)
         assert codes.tolist() == [int(solution_contains(solution, z)) for z in points]
         assert margins.tolist() == [_solution_margin(solution, z) for z in points]
+
+
+# Axis values i/10 - 2 and i/4 - 2, all exact: the grid holds the origin,
+# 1 and -1, so it hits the poles of the fractional problems above.
+POLE_GRID = GridSpec(-2, 2, -2, 2, 41, 17)
+
+
+class TestCodesOnlyPaths:
+    """Rasters reduce the values to codes only; the margin APIs also
+    reduce them to margins.  Both must give the same codes."""
+
+    @pytest.mark.parametrize("name", PROBLEMS)
+    def test_sample_raster_matches_problem_grid(self, name):
+        problem = PROBLEMS[name]
+        cells = sample_raster(problem, POLE_GRID).cells
+        codes, _ = problem_grid(problem, *POLE_GRID.points())
+        assert cells.dtype == codes.dtype == np.uint8
+        assert cells.tobytes() == codes.tobytes()
+        if isinstance(problem, Fractional):
+            assert Membership.POLE in cells.tolist()
+
+    def test_membership_grid_matches_margin_path(self):
+        rng = np.random.default_rng(47)
+        zr, zi = _coords(rng, 60)
+        for _ in range(40):
+            region = _random_region(rng)
+            codes, _ = solution_grid_margin(SolutionSet.single(region), zr, zi)
+            assert membership_grid(region, zr, zi).tobytes() == codes.tobytes()
+            raster = sample_raster(region, POLE_GRID).cells
+            expected, _ = solution_grid_margin(SolutionSet.single(region), *POLE_GRID.points())
+            assert raster.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", PROBLEMS)
+    def test_solution_grid_matches_margin_path(self, name):
+        solution = solve(PROBLEMS[name])
+        zr, zi = _coords(np.random.default_rng(48))
+        codes, _ = solution_grid_margin(solution, zr, zi)
+        assert solution_grid(solution, zr, zi).tobytes() == codes.tobytes()
+
+    def test_intersections_with_excluded_points(self):
+        rng = np.random.default_rng(49)
+        zr, zi = _coords(rng, 60)
+        points = _points(zr, zi)
+        excluded = (0j, 1 + 0j)
+        for _ in range(40):
+            regions = (_random_region(rng), _random_region(rng))
+            for solution in (SolutionSet.intersection(regions, excluded),
+                             SolutionSet.single(regions[0], excluded),
+                             SolutionSet.universe(excluded),
+                             SolutionSet.empty(excluded)):
+                codes = solution_grid(solution, zr, zi)
+                expected, _ = solution_grid_margin(solution, zr, zi)
+                assert codes.tobytes() == expected.tobytes()
+                assert codes.tolist() == [int(solution_contains(solution, z)) for z in points]

@@ -39,6 +39,12 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(0, 1, 0, 1, 1, 10)
 
+    @pytest.mark.parametrize("bounds", [(-math.inf, 1, 0, 1), (0, math.inf, 0, 1),
+                                        (0, 1, -math.inf, math.inf)])
+    def test_non_finite_bounds_refused(self, bounds):
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(*bounds, 10, 10)
+
 
 class TestEvalDirect:
     def test_quadratic_out(self):

@@ -134,7 +134,8 @@ class TestWriters:
 
 
 # Grid shapes against the tile size: ny not a multiple of the tile rows,
-# one row per tile (nx > _TILE_POINTS), and a grid that fits one tile.
+# rows longer than a tile (nx > _TILE_POINTS, split into a full and a
+# one-point piece), and a grid that fits one tile.
 GRIDS = [
     GridSpec(-2, 2, -2, 2, 1001, 2 * (TILE // 1001) + 3),
     GridSpec(-2, 2, -2, 2, TILE + 1, 3),
@@ -144,9 +145,9 @@ GRID_IDS = ["ragged-last-tile", "row-per-tile", "single-tile"]
 
 
 def test_grid_shapes_cover_the_tile_cases():
-    rows = [max(1, TILE // g.nx) for g in GRIDS]
+    rows = [TILE // g.nx for g in GRIDS]  # whole rows per tile
     assert GRIDS[0].ny % rows[0] != 0 and GRIDS[0].ny > rows[0]
-    assert GRIDS[1].nx > TILE and rows[1] == 1
+    assert rows[1] == 0 and GRIDS[1].nx % TILE != 0
     assert GRIDS[2].ny <= rows[2]
 
 
@@ -159,7 +160,8 @@ class TestTiling:
             starts.append(start)
             tr.append(a)
             ti.append(b)
-            assert a.shape == b.shape and a.shape[0] % grid.nx == 0
+            assert a.shape == b.shape and 0 < a.shape[0] <= TILE
+            assert not a.flags.writeable
         assert starts == [0] + np.cumsum([a.shape[0] for a in tr])[:-1].tolist()
         assert np.concatenate(tr).tobytes() == zr.tobytes()
         assert np.concatenate(ti).tobytes() == zi.tobytes()
