@@ -6,8 +6,10 @@ lane by lane with ``np.where``, pole lanes kept in a mask, and the two
 reductions of the computed values.  :func:`codes` turns the decision
 into membership codes, which is all a raster needs; :func:`margins`
 computes the tie margins that only verification reads, and only the
-callers that read them run it.  Results are bit-identical to the scalar
-path.  Complex dtype is deliberately avoided: numpy's own complex
+callers that read them run it.  A raster first decides each lane on the
+real parts alone (:func:`cdiv_real`, :func:`decide_real`), since the
+imaginary part only breaks exact ties.  Results are bit-identical to the
+scalar path.  Complex dtype is deliberately avoided: numpy's own complex
 division rounds differently from the shared Smith helper.
 """
 
@@ -31,6 +33,25 @@ def cdiv(ar, ai, br, bi):
     return np.where(wide, wr, tr), np.where(wide, wi, ti)
 
 
+def cdiv_real(ar, ai, br, bi):
+    """Elementwise Re(a / b): one Smith branch per lane, 2 divisions.
+
+    A lane that takes the tall branch in :func:`cdiv` (not |br| >= |bi|)
+    swaps each operand's components and takes the wide branch's real
+    part.  That is exact, not just close: the tall branch computes
+    t = br/bi and (ar*t + ai) / (br*t + bi), and the wide branch on
+    swapped operands computes t = br/bi and (ai + ar*t) / (bi + br*t).
+    IEEE addition is commutative, bit for bit, signed zeros and
+    infinities included, so both round to the same float: the result is
+    the real part of :func:`cdiv` on every lane where that is not nan,
+    and nan where it is.  Zero-b lanes come out as nan.
+    """
+    wide = np.abs(br) >= np.abs(bi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _kernels.cdiv_wide_real(np.where(wide, ar, ai), np.where(wide, ai, ar),
+                                       np.where(wide, br, bi), np.where(wide, bi, br))
+
+
 def tie_margin(dr, di):
     """Elementwise :func:`_kernels.tie_margin`."""
     return np.where(dr != 0.0, np.abs(dr), np.abs(di))
@@ -43,6 +64,23 @@ def at_least_zero(values):
     for vr, vi in rest:
         inside &= _kernels.at_least(vr, vi, 0.0, 0.0)
     return inside
+
+
+def decide_real(reals):
+    """The decision of :func:`at_least_zero` where the real parts settle it.
+
+    Returns ``(inside, undecided)``: ``inside`` marks the lanes where
+    every real part is > 0, and ``undecided`` those where some real part
+    is 0 or nan, so that only the imaginary parts or a pole mask can
+    decide.  Every other lane has a real part < 0 and is out.
+    """
+    inside = undecided = None
+    for vr in reals:
+        positive = vr > 0.0
+        tied = ~(positive | (vr < 0.0))
+        inside = positive if inside is None else np.logical_and(inside, positive, out=inside)
+        undecided = tied if undecided is None else np.logical_or(undecided, tied, out=undecided)
+    return inside, undecided
 
 
 def codes(inside, pole, out=None):

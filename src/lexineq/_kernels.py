@@ -2,9 +2,13 @@
 
 All membership decisions bottom out in the helpers below.  Those that
 do only ``+ - * /`` and ``| &`` (``unrotate``, the Smith branches
-``cdiv_wide``/``cdiv_tall``, ``csq``, ``at_least``, ``linear_value``,
-``quadratic_value``, ``fractional_value`` and ``pull_back``) run
-unchanged on Python floats and on float64 arrays.  The scalar API calls
+``cdiv_wide``/``cdiv_tall``, ``csq``, ``at_least``, the ``*_value``
+functions and ``pull_back``) run unchanged on Python floats and on
+float64 arrays.  A raster decides most lanes on the real part alone:
+``linear_value`` and ``quadratic_value`` are built from ``linear_real``
+and ``quadratic_real``, and ``fractional_real`` shares
+``fraction_terms`` with ``fractional_value`` and divides with the real
+part of one Smith branch only (``cdiv_wide_real``).  The scalar API calls
 them on floats; ``_grid`` calls the same functions on arrays and
 supplies only what arrays need: the Smith branch chosen with
 ``np.where`` and pole lanes kept in a mask.  One expression tree per
@@ -45,6 +49,12 @@ def cdiv_wide(ar, ai, br, bi):
     t = bi / br
     d = br + bi * t
     return (ar + ai * t) / d, (ai - ar * t) / d
+
+
+def cdiv_wide_real(ar, ai, br, bi):
+    """Re of :func:`cdiv_wide`, bit for bit, with 2 divisions instead of 3."""
+    t = bi / br
+    return (ar + ai * t) / (br + bi * t)
 
 
 def cdiv_tall(ar, ai, br, bi):
@@ -142,19 +152,31 @@ def tie_margin(dr, di):
     return abs(di)
 
 
+def linear_real(ar, ai, br, zr, zi):
+    """Re(A*z - B)."""
+    return ar * zr - ai * zi - br
+
+
 def linear_value(ar, ai, br, bi, zr, zi):
     """A*z - B."""
-    return ar * zr - ai * zi - br, ar * zi + ai * zr - bi
+    return linear_real(ar, ai, br, zr, zi), ar * zi + ai * zr - bi
+
+
+def quadratic_real(ar, ai, br, bi, cr, zr, zi, sr, si):
+    """Re(A*z^2 + B*z + C), given s = z*z = ``csq(zr, zi)``."""
+    return ((ar * sr - ai * si) + (br * zr - bi * zi)) + cr
 
 
 def quadratic_value(ar, ai, br, bi, cr, ci, zr, zi):
     """A*z^2 + B*z + C."""
     sr, si = csq(zr, zi)
-    t1r = ar * sr - ai * si
-    t1i = ar * si + ai * sr
-    t2r = br * zr - bi * zi
-    t2i = br * zi + bi * zr
-    return (t1r + t2r) + cr, (t1i + t2i) + ci
+    return (quadratic_real(ar, ai, br, bi, cr, zr, zi, sr, si),
+            ((ar * si + ai * sr) + (br * zi + bi * zr)) + ci)
+
+
+def fraction_terms(ar, ai, br, bi, cr, ci, zr, zi):
+    """Numerator A*z + B and denominator z + C: ``(nr, ni, wr, wi)``."""
+    return ar * zr - ai * zi + br, ar * zi + ai * zr + bi, zr + cr, zi + ci
 
 
 def fractional_value(ar, ai, br, bi, cr, ci, dr, di, zr, zi, div):
@@ -163,9 +185,11 @@ def fractional_value(ar, ai, br, bi, cr, ci, dr, di, zr, zi, div):
     Pre: z != -C for the scalar :func:`cdiv`; the grid's division
     leaves pole lanes for the caller to mask.
     """
-    wr = zr + cr
-    wi = zi + ci
-    nr = ar * zr - ai * zi + br
-    ni = ar * zi + ai * zr + bi
-    qr, qi = div(nr, ni, wr, wi)
+    qr, qi = div(*fraction_terms(ar, ai, br, bi, cr, ci, zr, zi))
     return qr - dr, qi - di
+
+
+def fractional_real(ar, ai, br, bi, cr, ci, dr, zr, zi, div_real):
+    """Re((A*z + B) / (z + C) - D), with ``div_real`` the real part of
+    the complex division."""
+    return div_real(*fraction_terms(ar, ai, br, bi, cr, ci, zr, zi)) - dr

@@ -8,9 +8,12 @@ so any solver bug shows up as a disagreement when :func:`verify` sweeps
 a grid and compares both answers pointwise.
 
 A raster needs only that decision per cell, so :func:`sample_raster`
-reduces the computed values to membership codes alone.  The tie margins
-are computed only by :func:`verify` and the APIs that return them,
-:func:`problem_grid` and ``solver.solution_grid_margin``.
+reduces the computed values to membership codes alone.  It decides each
+cell on the real parts of the values first, as the dictionary order
+does, and computes the imaginary parts and the pole mask only on the
+few undecided cells, where a real part is 0 or nan (every pole is one).
+The tie margins are computed only by :func:`verify` and the APIs that
+return them, :func:`problem_grid` and ``solver.solution_grid_margin``.
 
 Probes too close to the order's decision boundary are excluded by a
 margin test rather than asserted: two different but mathematically
@@ -65,14 +68,20 @@ DEFAULT_EPS = 1e-6
 
 # Largest grid accepted, in cells.  A raster needs one tile of float64
 # temporaries plus one byte per cell (its code), whatever the row width,
-# but the PGM and CSV writers build the whole file text as one string (2
-# and about 20-50 bytes per cell), so the cap keeps a CSV under a gigabyte.
+# but the writers build the whole file text in memory: PGM a buffer of 2
+# bytes per cell and the string decoded from it, CSV one string per
+# column, the text's pieces and the joined text (about 20-50 bytes per
+# cell each).  The cap keeps a CSV's text under a gigabyte.
 MAX_CELLS = 1 << 24
 
 # Most grid points evaluated at once, whatever the row width: a row longer
-# than this is split across tiles.  Each tile's float64 temporaries (a
-# dozen or so arrays of this length) then stay in the L2 cache; 16384
-# points is about 128 KiB per array.
+# than this is split across tiles.  The size is measured, not derived.
+# Each tile's float64 temporaries (a dozen or so arrays of this length)
+# are 128 KiB each, where glibc malloc's default mmap and trim thresholds
+# act, so a raster's tiles take a few hundred minor page faults in all;
+# 8192 points take almost none but pay twice the per-tile numpy call
+# overhead, and were no faster for rasters and slower for verify, and
+# 32768 points fault on every tile and were slower for both.
 _TILE_POINTS = 16384
 
 
@@ -196,12 +205,17 @@ class Bitmap:
         import numpy as np
 
         g = self.grid
+        header = f"P2\n{g.nx} {g.ny}\n2\n".encode("ascii")
+        buf = np.empty(len(header) + 2 * g.nx * g.ny, dtype=np.uint8)
+        buf[:len(header)] = np.frombuffer(header, dtype=np.uint8)
         # one byte per digit and one per separator: a space, or a newline
         # after the last digit of a row
-        buf = np.full((g.ny, 2 * g.nx), ord(" "), dtype=np.uint8)
-        buf[:, 0::2] = self.cells.reshape(g.ny, g.nx)[::-1] + ord("0")
-        buf[:, -1] = ord("\n")
-        return f"P2\n{g.nx} {g.ny}\n2\n" + buf.tobytes().decode("ascii")
+        body = buf[len(header):].reshape(g.ny, 2 * g.nx)
+        np.add(self.cells.reshape(g.ny, g.nx)[::-1], ord("0"), out=body[:, 0::2],
+               casting="unsafe")
+        body[:, 1::2] = ord(" ")
+        body[:, -1] = ord("\n")
+        return str(buf, "ascii")
 
     def to_csv(self) -> str:
         """CSV with columns re,im,state; states are in/out/pole."""
@@ -210,16 +224,16 @@ class Bitmap:
         g = self.grid
         re_text = [repr(x) for x in g.re_axis().tolist()]
         states = ("out\n", "pole\n", "in\n")  # indexed by code: OUT, POLE, IN = 0, 1, 2
-        # A row is re_0 + mid + (state_0 + re_1) + mid + ... + mid + state_last,
-        # with mid = ",im,": the middle pieces take 3 * (nx - 1) values.
-        joints = np.array([[s + r for r in re_text[1:]] for s in states], dtype=object)
-        cols = np.arange(g.nx - 1)
-        head = re_text[0]
-        rows = self.cells.reshape(g.ny, g.nx)
         lines = ["re,im,state\n"]
-        for y, codes in zip(g.im_axis().tolist(), rows):
-            pieces = [head, *joints[codes[:-1], cols].tolist(), states[codes[-1]]]
-            lines.append(f",{y!r},".join(pieces))
+        for y, codes in zip(g.im_axis().tolist(), self.cells.reshape(g.ny, g.nx)):
+            # a run of equal codes shares its tail ",im,state": the run's
+            # lines are its re texts, each followed by the tail
+            tails = [f",{y!r},{s}" for s in states]
+            cuts = (np.flatnonzero(codes[1:] != codes[:-1]) + 1).tolist()
+            starts = [0, *cuts]
+            for c0, c1, code in zip(starts, [*cuts, g.nx], codes[starts].tolist()):
+                lines.append(tails[code].join(re_text[c0:c1]))
+                lines.append(tails[code])
         return "".join(lines)
 
 
@@ -265,6 +279,27 @@ def _constraint_values(problem: InequalityProblem, zr, zi, div) -> tuple:
         return (_kernels.fractional_value(*parts, zr, zi, div),)
     if isinstance(problem, Quadratic):
         return (_kernels.quadratic_value(*_parts(problem.a, problem.b, problem.c), zr, zi),)
+    raise TypeError(f"not an inequality problem: {problem!r}")
+
+
+def _constraint_reals(problem: InequalityProblem, zr: np.ndarray, zi: np.ndarray) -> tuple:
+    """Real parts of :func:`_constraint_values` at float64 lanes, bit for bit.
+
+    Pole lanes come out as nan.
+    """
+    from . import _grid
+
+    if isinstance(problem, Linear):
+        return (_kernels.linear_real(*_parts(problem.a), problem.b.real, zr, zi),)
+    if isinstance(problem, LinearSystem):
+        return (_kernels.linear_real(*_parts(problem.a), problem.b.real, zr, zi),
+                _kernels.linear_real(*_parts(problem.c), problem.d.real, zr, zi))
+    if isinstance(problem, Fractional):
+        parts = _parts(problem.a, problem.b, problem.c)
+        return (_kernels.fractional_real(*parts, problem.d.real, zr, zi, _grid.cdiv_real),)
+    if isinstance(problem, Quadratic):
+        parts = _parts(problem.a, problem.b)
+        return (_kernels.quadratic_real(*parts, problem.c.real, zr, zi, *_kernels.csq(zr, zi)),)
     raise TypeError(f"not an inequality problem: {problem!r}")
 
 
@@ -387,7 +422,10 @@ def sample_raster(source: Union[Region, InequalityProblem], grid: GridSpec) -> B
     """Evaluate membership of a region or inequality at every grid point.
 
     Only membership codes are computed, tile by tile straight into the
-    raster; the margins :func:`problem_grid` also reports are not.
+    raster; the margins :func:`problem_grid` also reports are not.  An
+    inequality's cells are decided on the real parts of its values; the
+    full values of :func:`problem_grid` decide only the cells where one
+    is 0 or nan.
     """
     import numpy as np
 
@@ -398,8 +436,19 @@ def sample_raster(source: Union[Region, InequalityProblem], grid: GridSpec) -> B
             out[:] = membership_grid(source, zr, zi)
     elif isinstance(source, (Linear, LinearSystem, Fractional, Quadratic)):
         def fill(zr, zi, out):
-            values, pole = _problem_lanes(source, zr, zi)
-            _grid.codes(_grid.at_least_zero(values), pole, out)
+            # the real parts decide every lane but those where one is 0 or
+            # nan (every pole lane is one); the full values decide those
+            inside, undecided = _grid.decide_real(_constraint_reals(source, zr, zi))
+            _grid.codes(inside, None, out)
+            idx = np.flatnonzero(undecided)
+            if idx.size == 0:
+                return
+            if idx.size == zr.shape[0]:
+                # a real part that is 0 everywhere, as in `0*Z >= 1i`:
+                # take the whole tile, without a gather
+                idx = slice(None)
+            values, pole = _problem_lanes(source, zr[idx], zi[idx])
+            out[idx] = _grid.codes(_grid.at_least_zero(values), pole)
     else:
         raise TypeError(f"cannot rasterize {source!r}")
     cells = np.empty(grid.nx * grid.ny, dtype=np.uint8)

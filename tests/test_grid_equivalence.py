@@ -14,10 +14,11 @@ import math
 import numpy as np
 import pytest
 
-from lexineq import _kernels
+from lexineq import _grid, _kernels
 from lexineq.errors import PoleError
 from lexineq.oracle import (
     GridSpec,
+    _problem_lanes,
     _values,
     boundary_margin,
     eval_direct,
@@ -219,3 +220,81 @@ class TestCodesOnlyPaths:
                 expected, _ = solution_grid_margin(solution, zr, zi)
                 assert codes.tobytes() == expected.tobytes()
                 assert codes.tolist() == [int(solution_contains(solution, z)) for z in points]
+
+
+# Axis values i/4 - 2, all exact: the grid holds every quarter of [-2, 2]^2.
+LATTICE = GridSpec(-2, 2, -2, 2, 17, 17)
+
+# Integer-coefficient problems whose value has Re v == 0 exactly at many
+# LATTICE points (on whole grid lines for the linear and the 1/z cases),
+# with Im v of both signs there.
+TIED = {
+    "linear-column": Linear(2 + 0j, 1 + 1j),        # Re v = 2 Re z - 1
+    "linear-diagonal": Linear(1 + 1j, 1j),          # Re v = Re z - Im z
+    "quadratic-axes": Quadratic(1j, 0j, 0j),        # Re v = -2 Re z Im z
+    "quadratic-cross": Quadratic(1j, 2 + 0j, 1j),   # Re v = 2 Re z (1 - Im z)
+    "quadratic-hyperbola": Quadratic(1 + 0j, 0j, -1 + 0j),  # Re v = |Re z|^2 - |Im z|^2 - 1
+    "fractional-pole-at-0": Fractional(0j, 1 + 0j, 0j, 0j),  # 1/z: Re v = 0 on Re z = 0
+    "fractional-pole-on-lattice": Fractional(2 + 0j, -1 + 0j, -1 + 1j, 2 + 0j),  # pole at 1 - i
+    # the first constraint ties on Re z = 1/2, where the second decides both ways
+    "system": LinearSystem(1 + 0j, 0.5 + 0.5j, 1j, -1 + 0j),
+}
+
+
+class TestUndecidedLanes:
+    """A raster decides each lane on the real parts of the values, and
+    computes the imaginary parts and the pole mask only where a real part
+    is 0 or nan.  Those lanes must get the codes of the full path."""
+
+    @pytest.mark.parametrize("name", TIED)
+    def test_ties_match_problem_grid(self, name):
+        problem = TIED[name]
+        zr, zi = LATTICE.points()
+        cells = sample_raster(problem, LATTICE).cells
+        codes, _ = problem_grid(problem, zr, zi)
+        assert cells.tobytes() == codes.tobytes()
+        values, pole = _problem_lanes(problem, zr, zi)
+        tied = [vr == 0.0 for vr, _ in values]
+        # the imaginary part breaks ties both ways
+        assert any(np.any(t & (vi > 0.0)) and np.any(t & (vi < 0.0))
+                   for t, (_, vi) in zip(tied, values))
+        if isinstance(problem, Fractional):
+            assert np.count_nonzero(pole) == 1 and cells[pole] == Membership.POLE
+        if isinstance(problem, LinearSystem):
+            (_, _), (vr2, _) = values
+            assert np.any(tied[0] & (vr2 > 0.0)) and np.any(tied[0] & (vr2 < 0.0))
+
+    @pytest.mark.parametrize("b", [1j, -1j])
+    def test_real_part_zero_everywhere(self, b):
+        # 0*Z >= b: Re v = 0 on every lane, so Im v = -Im b decides them all
+        problem = Linear(0j, b)
+        cells = sample_raster(problem, POLE_GRID).cells
+        codes, _ = problem_grid(problem, *POLE_GRID.points())
+        assert cells.tobytes() == codes.tobytes()
+        assert set(cells.tolist()) == {Membership.IN if b == -1j else Membership.OUT}
+
+    def test_nan_lanes_from_overflow(self):
+        # coefficients near the float maximum overflow to inf - inf = nan;
+        # the warnings are the open overflow defect, silenced here only
+        problem = Linear(1.5e308 + 1.5e308j, 1e308 + 0j)
+        with np.errstate(all="ignore"):
+            cells = sample_raster(problem, POLE_GRID).cells
+            codes, _ = problem_grid(problem, *POLE_GRID.points())
+            values, _ = _problem_lanes(problem, *POLE_GRID.points())
+        assert np.any(np.isnan(values[0][0]))
+        assert cells.tobytes() == codes.tobytes()
+
+    def test_real_only_division_is_exact(self):
+        rng = np.random.default_rng(50)
+        special = [0.0, -0.0, 1.0, -1.0, 2.0, 1e-310, 1e308, np.inf, -np.inf]
+        parts = [np.concatenate([rng.standard_normal(400), rng.choice(special, 400)])
+                 for _ in range(4)]
+        for p in parts:
+            rng.shuffle(p)
+        with np.errstate(all="ignore"):
+            expected, _ = _grid.cdiv(*parts)
+            got = _grid.cdiv_real(*parts)
+        # nan lanes make every comparison false, whatever their payload
+        nan = np.isnan(expected)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == expected[~nan].tobytes()

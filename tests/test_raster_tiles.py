@@ -5,6 +5,8 @@ writers kept below as the reference, and the tiled ``sample_raster`` and
 ``verify`` against whole-grid evaluation over ``GridSpec.points()``.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,26 @@ class TestWriters:
         bitmap = sample_raster(Linear(1 + 0j, 0j), grid)
         assert bitmap.to_csv() == reference_csv(bitmap)
         assert bitmap.to_pgm() == reference_pgm(bitmap)
+
+    def test_cells_of_another_integer_dtype(self):
+        bitmap = sample_raster(FRACTIONAL_POLE, GridSpec(-2, 2, -2, 2, 17, 33))
+        wide = Bitmap(bitmap.grid, bitmap.cells.astype(np.int64))
+        assert wide.to_pgm() == bitmap.to_pgm()
+        assert wide.to_csv() == bitmap.to_csv()
+
+    def test_csv_memory_is_bounded_by_the_output(self):
+        # a wide raster of few rows: the writer holds one string per column
+        # and the file text (its pieces, then the joined string), so its
+        # peak stays a small multiple of the output, however wide the row
+        bitmap = sample_raster(FRACTIONAL_POLE, GridSpec(-2, 2, -2, 2, 100000, 2))
+        tracemalloc.start()
+        try:
+            csv = bitmap.to_csv()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * len(csv)
+        assert csv == reference_csv(bitmap)
 
     def test_region_raster(self):
         bitmap = sample_raster(Region(-1 + 0j, (Sqrt(),)), GridSpec(-2, 2, -2, 2, 41, 23))
