@@ -8,7 +8,8 @@ Commands::
     lexineq laws [--seed N] [--samples N]
 
 Exit status: 0 on success; 1 on parse/classification errors and on an
-output file that cannot be written; 2 when --verify finds a mismatch.
+output file that cannot be written; 2 when --verify finds a mismatch or
+asserts no probe at all (every non-pole probe within eps of the boundary).
 All outputs are deterministic for fixed inputs and seed: dictionaries
 are emitted in fixed order and floats as their shortest round-trippable
 decimals.
@@ -231,6 +232,10 @@ def _cmd_solve(args) -> int:
         doc["verification"] = verification_to_json(report)
         if not report.passed:
             status = 2
+            if not report.mismatches:
+                sys.stderr.write(f"lexineq: verify asserted no probe: all "
+                                 f"{report.skipped_boundary} non-pole probes lie within "
+                                 f"eps={args.eps!r} of the boundary\n")
     payload = json.dumps(doc, indent=2) + "\n"
     if args.json:
         with open(args.json, "w", encoding="utf-8", newline="\n") as fh:

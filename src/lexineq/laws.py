@@ -170,6 +170,8 @@ def check_law(law_id: str, samples: int = 10_000, seed: int = 0) -> LawReport:
         raise ValueError("samples must be >= 1")
     if samples > MAX_SAMPLES:
         raise ValueError(f"samples must be <= {MAX_SAMPLES} (laws.MAX_SAMPLES), got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     operands = _draw(np.random.default_rng(seed), samples, draws)
     ok = holds(*operands)
     if bool(ok.all()):

@@ -23,7 +23,10 @@ __all__ = ["classify_problem", "classify_problem_ex", "problem_kind"]
 
 _MAX_DEGREE = 64
 
-Poly = list  # list[complex], dense, trimmed
+Poly = list  # list[complex], dense, trimmed; never mutated once returned
+
+_UNIT = 1 + 0j
+_ONE = [_UNIT]  # the one shared denominator of every literal and of Z
 
 
 def _trim(p: Poly) -> Poly:
@@ -51,6 +54,12 @@ def _psub(p: Poly, q: Poly) -> Poly:
 
 
 def _pmul(p: Poly, q: Poly) -> Poly:
+    if p is _ONE:
+        p, q = q, p
+    if q is _ONE:
+        # the loop's own arithmetic, so signed zeros, inf and nan agree
+        # (complex products commute bit for bit)
+        return p if p is _ONE else [0j + a * _UNIT for a in p]
     if not p or not q:
         return []
     if len(p) + len(q) - 2 > _MAX_DEGREE:
@@ -75,30 +84,12 @@ Rational = tuple  # (num: Poly, den: Poly)
 def _to_rational(node: Expr) -> Rational:
     if isinstance(node, Lit):
         num = [node.value] if node.value != 0 else []
-        return num, [1 + 0j]
+        return num, _ONE
     if isinstance(node, Var):
-        return [0j, 1 + 0j], [1 + 0j]
+        return [0j, _UNIT], _ONE
     if isinstance(node, Neg):
         n, d = _to_rational(node.operand)
         return _pneg(n), d
-    if isinstance(node, Add):
-        n1, d1 = _to_rational(node.lhs)
-        n2, d2 = _to_rational(node.rhs)
-        return _padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2)
-    if isinstance(node, Sub):
-        n1, d1 = _to_rational(node.lhs)
-        n2, d2 = _to_rational(node.rhs)
-        return _psub(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2)
-    if isinstance(node, Mul):
-        n1, d1 = _to_rational(node.lhs)
-        n2, d2 = _to_rational(node.rhs)
-        return _pmul(n1, n2), _pmul(d1, d2)
-    if isinstance(node, Div):
-        n1, d1 = _to_rational(node.lhs)
-        n2, d2 = _to_rational(node.rhs)
-        if not n2:
-            raise UnsupportedFormError("division by an expression that is identically zero")
-        return _pmul(n1, d2), _pmul(d1, n2)
     if isinstance(node, Pow):
         n, d = _to_rational(node.base)
         # Refuse before the loop, which runs exponent - 1 times.  It stays a
@@ -113,7 +104,18 @@ def _to_rational(node: Expr) -> Rational:
             rn = _pmul(rn, n)
             rd = _pmul(rd, d)
         return rn, rd
-    raise TypeError(f"not an expression node: {node!r}")
+    if not isinstance(node, (Add, Sub, Mul, Div)):
+        raise TypeError(f"not an expression node: {node!r}")
+    n1, d1 = _to_rational(node.lhs)
+    n2, d2 = _to_rational(node.rhs)
+    if isinstance(node, Mul):
+        return _pmul(n1, n2), _pmul(d1, d2)
+    if isinstance(node, Div):
+        if not n2:
+            raise UnsupportedFormError("division by an expression that is identically zero")
+        return _pmul(n1, d2), _pmul(d1, n2)
+    combine = _padd if isinstance(node, Add) else _psub
+    return combine(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2)
 
 
 def _require_folded_finite(coeffs: Sequence[complex]) -> None:
@@ -171,8 +173,7 @@ def _classify_single(src: SourceExpr) -> tuple[InequalityProblem, complex | None
     if r_const is not None and _deg(ld) == 1:
         # fraction >= constant: keep the right side as the threshold so the
         # classified problem reads like the input
-        problem, scale = _fractional_from(ln, ld, r_const)
-        return problem, scale
+        return _fractional_from(ln, ld, r_const)
 
     num = _psub(_pmul(ln, rd), _pmul(rn, ld))
     den = _pmul(ld, rd)
@@ -194,8 +195,7 @@ def _classify_single(src: SourceExpr) -> tuple[InequalityProblem, complex | None
             f"polynomial degree {degree} is outside the solvable classes (max 2)"
         )
     if _deg(den) == 1:
-        problem, scale = _fractional_from(num, den, 0j)
-        return problem, scale
+        return _fractional_from(num, den, 0j)
     raise UnsupportedFormError(
         f"denominator degree {_deg(den)} is not solvable; normalized shape: {_shape(num, den)}"
     )

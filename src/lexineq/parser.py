@@ -33,24 +33,9 @@ from .errors import MultipleVariablesError, NonIntegerExponentError, ParseError
 from .lexorder import complex_div
 
 __all__ = [
-    "Lit",
-    "Var",
-    "Neg",
-    "Add",
-    "Sub",
-    "Mul",
-    "Div",
-    "Pow",
-    "Expr",
-    "SourceExpr",
-    "parse",
-    "parse_input",
-    "parse_complex",
-    "to_text",
-    "source_to_text",
-    "eval_expr",
-    "has_var",
-    "MAX_EXPONENT",
+    "Lit", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Expr", "SourceExpr",
+    "parse", "parse_input", "parse_complex", "to_text", "source_to_text", "eval_expr",
+    "has_var", "MAX_EXPONENT",
 ]
 
 # Largest exponent literal.  No polynomial the normalizer accepts has a
@@ -61,17 +46,13 @@ __all__ = [
 MAX_EXPONENT = 1024
 
 
-def _clean_component(x: float) -> float:
-    # normalize -0.0 so printed literals re-parse to the same node
-    return x + 0.0
-
-
 @record
 class Lit:
     value: complex
 
     def __post_init__(self):
-        v = complex(_clean_component(self.value.real), _clean_component(self.value.imag))
+        # normalize -0.0 so printed literals re-parse to the same node
+        v = complex(self.value.real + 0.0, self.value.imag + 0.0)
         if not (math.isfinite(v.real) and math.isfinite(v.imag)):
             raise ValueError(f"literal must be finite, got {v!r}")
         object.__setattr__(self, "value", v)
@@ -135,22 +116,22 @@ class SourceExpr:
     relation: str
 
 
+# A token is (kind, text, pos): kind is a group name of _TOKEN_RE or "end",
+# pos a character index.  No other kind of token has an operator's text, so
+# operators are tested by text alone.  The alternatives begin with disjoint
+# characters, so their order (most frequent first, ``bad`` last) changes no
+# token.
+_Token = tuple[str, str, int]
 _TOKEN_RE = _re.compile(
-    r"\s*(?:"
-    r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"(?P<op>[-+*/^()])"
+    r"|(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_]\w*)"
     r"|(?P<rel>>=|<=)"
     r"|(?P<and>&&)"
-    r"|(?P<op>[-+*/^()])"
-    r")"
+    r"|(?P<bad>\S)"
 )
 
-
-@record
-class _Token:
-    kind: str  # num | ident | rel | and | op | end
-    text: str
-    pos: int   # character index into the source
+_IMAGINARY_UNIT = ("i", "I")
 
 
 def _byte_offset(text: str, pos: int) -> int:
@@ -158,20 +139,11 @@ def _byte_offset(text: str, pos: int) -> int:
 
 
 def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad_at = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {text[bad_at]!r}", _byte_offset(text, bad_at))
-        kind = m.lastgroup
-        tokens.append(_Token(kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-    tokens.append(_Token("end", "", len(text)))
+    tokens = [(m.lastgroup, m[0], m.start()) for m in _TOKEN_RE.finditer(text)]
+    for kind, tok_text, pos in tokens:
+        if kind == "bad":
+            raise ParseError(f"unexpected character {tok_text!r}", _byte_offset(text, pos))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -196,30 +168,29 @@ class _Parser:
         self.i = 0
         self.depth = 0
 
-    def _peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def _next(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
     def _error(self, message: str, tok: _Token | None = None, cls=ParseError):
-        tok = tok or self._peek()
-        raise cls(message, _byte_offset(self.text, tok.pos))
+        pos = (tok or self.tokens[self.i])[2]
+        raise cls(message, _byte_offset(self.text, pos))
+
+    def _expect_end(self, message: str | None = None):
+        kind, tail, _ = self.tokens[self.i]
+        if kind != "end":
+            self._error(message or f"unexpected trailing input {tail!r}")
 
     def _expect_op(self, op: str):
-        tok = self._next()
-        if tok.kind != "op" or tok.text != op:
-            self._error(f"expected {op!r}, found {tok.text or 'end of input'!r}", tok)
+        tok = self.tokens[self.i]
+        self.i += 1
+        if tok[1] != op:
+            self._error(f"expected {op!r}, found {tok[1] or 'end of input'!r}", tok)
 
     def parse_inequality(self) -> SourceExpr:
         lhs, _ = self.parse_expr()
-        tok = self._next()
-        if tok.kind != "rel":
-            self._error(f"expected '>=' or '<=', found {tok.text or 'end of input'!r}", tok)
+        tok = self.tokens[self.i]
+        self.i += 1
+        if tok[0] != "rel":
+            self._error(f"expected '>=' or '<=', found {tok[1] or 'end of input'!r}", tok)
         rhs, _ = self.parse_expr()
-        if tok.text == "<=":
+        if tok[1] == "<=":
             lhs, rhs = rhs, lhs
         return SourceExpr(text=self.text, lhs=lhs, rhs=rhs, relation=">=")
 
@@ -229,68 +200,73 @@ class _Parser:
     def parse_expr(self) -> tuple[Expr, int]:
         acc, height = self.parse_term()
         while True:
-            tok = self._peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self._next()
-                term, term_height = self.parse_term()
-                fused = _fuse_literal(acc, tok.text, term)
-                if fused is not None:
-                    acc, height = fused, 1
-                    continue
-                height = self._grow(tok, max(height, term_height))
-                acc = Add(acc, term) if tok.text == "+" else Sub(acc, term)
-            else:
+            tok = self.tokens[self.i]
+            op = tok[1]
+            if op != "+" and op != "-":
                 return acc, height
+            self.i += 1
+            term, term_height = self.parse_term()
+            fused = _fuse_literal(acc, op, term)
+            if fused is not None:
+                acc, height = fused, 1
+                continue
+            height = self._grow(tok, max(height, term_height))
+            acc = Add(acc, term) if op == "+" else Sub(acc, term)
 
     def parse_term(self) -> tuple[Expr, int]:
         acc, height = self.parse_factor()
         while True:
-            tok = self._peek()
-            if tok.kind == "op" and tok.text in "*/":
-                self._next()
-                rhs, rhs_height = self.parse_factor()
-                height = self._grow(tok, max(height, rhs_height))
-                acc = Mul(acc, rhs) if tok.text == "*" else Div(acc, rhs)
-            else:
+            tok = self.tokens[self.i]
+            op = tok[1]
+            if op != "*" and op != "/":
                 return acc, height
+            self.i += 1
+            rhs, rhs_height = self.parse_factor()
+            height = self._grow(tok, max(height, rhs_height))
+            acc = Mul(acc, rhs) if op == "*" else Div(acc, rhs)
 
     def parse_factor(self) -> tuple[Expr, int]:
         base, height = self.parse_primary()
-        tok = self._peek()
-        if tok.kind == "op" and tok.text == "^":
-            self._next()
-            exp = self._next()
-            digits = exp.text.lstrip("0")
-            if exp.kind != "num" or not exp.text.isdigit() or not digits:
-                self._error("exponent must be a positive integer literal", exp,
-                            cls=NonIntegerExponentError)
-            # compare lengths first: int() refuses strings of over 4300 digits
-            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
-                self._error(f"exponent exceeds the limit of {MAX_EXPONENT}", exp)
-            return Pow(base, int(digits)), self._grow(tok, height)
-        return base, height
+        tok = self.tokens[self.i]
+        if tok[1] != "^":
+            return base, height
+        exp = self.tokens[self.i + 1]
+        self.i += 2
+        kind, text, _ = exp
+        digits = text.lstrip("0")
+        if kind != "num" or not text.isdigit() or not digits:
+            self._error("exponent must be a positive integer literal", exp,
+                        cls=NonIntegerExponentError)
+        # compare lengths first: int() refuses strings of over 4300 digits
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+            self._error(f"exponent exceeds the limit of {MAX_EXPONENT}", exp)
+        return Pow(base, int(digits)), self._grow(tok, height)
 
     def parse_primary(self) -> tuple[Expr, int]:
-        tok = self._next()
-        if tok.kind == "num":
-            value = float(tok.text)
+        tok = self.tokens[self.i]
+        self.i += 1
+        kind, text, _ = tok
+        if kind == "num":
+            value = float(text)
             if not math.isfinite(value):
                 self._error("numeric literal overflows to infinity", tok)
-            nxt = self._peek()
-            if nxt.kind == "ident" and nxt.text in ("i", "I"):
-                self._next()
+            if self.tokens[self.i][1] in _IMAGINARY_UNIT:
+                self.i += 1
                 return Lit(complex(0.0, value)), 1
             return Lit(complex(value, 0.0)), 1
-        if tok.kind == "ident":
-            name = tok.text
-            if name in ("i", "I"):
+        if kind == "ident":
+            if text in _IMAGINARY_UNIT:
                 return Lit(1j), 1
-            if name.lower() == "z":
+            if text.lower() == "z":
                 return Var(), 1
-            self._error(f"unsupported variable {name!r}; the only variable is Z", tok,
+            self._error(f"unsupported variable {text!r}; the only variable is Z", tok,
                         cls=MultipleVariablesError)
-        if tok.kind == "op" and tok.text == "(":
+        if text == "(":
             self._descend(tok)
+            literal = self._paren_literal()
+            if literal is not None:
+                self.depth -= 1
+                return literal, 1
             inner, height = self.parse_expr()
             self._expect_op(")")
             self.depth -= 1
@@ -298,12 +274,39 @@ class _Parser:
             if isinstance(inner, Neg) and isinstance(inner.operand, Lit):
                 return Lit(-inner.operand.value), 1
             return inner, height
-        if tok.kind == "op" and tok.text == "-":
+        if text == "-":
             self._descend(tok)
             operand, height = self.parse_primary()
             self.depth -= 1
             return Neg(operand), self._grow(tok, height)
-        self._error(f"expected a value, found {tok.text or 'end of input'!r}", tok)
+        self._error(f"expected a value, found {tok[1] or 'end of input'!r}", tok)
+
+    def _paren_literal(self) -> Lit | None:
+        """Fold ``(a+bi)`` after a '(' in one step, through the ')'.
+
+        Takes only ``[-] NUMBER (+|-) NUMBER i )`` with finite parts, a
+        nonzero imaginary part and room for the minus, and returns the
+        literal the general path would; else consumes nothing, returns None.
+        """
+        tokens, i = self.tokens, self.i
+        negate = tokens[i][1] == "-"
+        if negate and self.depth >= self.MAX_DEPTH:
+            return None
+        i += negate
+        kind, real_text, _ = tokens[i]
+        if kind != "num":
+            return None
+        sign = tokens[i + 1][1]
+        if sign != "+" and sign != "-":
+            return None
+        kind, imag_text, _ = tokens[i + 2]
+        if kind != "num" or tokens[i + 3][1] not in _IMAGINARY_UNIT or tokens[i + 4][1] != ")":
+            return None
+        real, imag = float(real_text), float(imag_text)
+        if not (math.isfinite(real) and math.isfinite(imag)) or imag == 0.0:
+            return None
+        self.i = i + 5
+        return Lit(complex(-real if negate else real, imag if sign == "+" else -imag))
 
     def _descend(self, tok: _Token):
         self.depth += 1
@@ -343,11 +346,9 @@ def parse(text: str) -> SourceExpr:
     """Parse a single inequality."""
     parser = _Parser(text)
     result = parser.parse_inequality()
-    tail = parser._peek()
-    if tail.kind != "end":
-        if tail.kind == "and":
-            parser._error("'&&' joins two inequalities; use parse_input for systems", tail)
-        parser._error(f"unexpected trailing input {tail.text!r}", tail)
+    if parser.tokens[parser.i][0] == "and":
+        parser._error("'&&' joins two inequalities; use parse_input for systems")
+    parser._expect_end()
     return result
 
 
@@ -355,16 +356,12 @@ def parse_input(text: str) -> tuple[SourceExpr, ...]:
     """Parse one inequality, or two joined by '&&'."""
     parser = _Parser(text)
     first = parser.parse_inequality()
-    tok = parser._peek()
-    if tok.kind == "end":
+    if parser.tokens[parser.i][0] != "and":
+        parser._expect_end()
         return (first,)
-    if tok.kind != "and":
-        parser._error(f"unexpected trailing input {tok.text!r}", tok)
-    parser._next()
+    parser.i += 1
     second = parser.parse_inequality()
-    tail = parser._peek()
-    if tail.kind != "end":
-        parser._error("at most two inequalities may be joined by '&&'", tail)
+    parser._expect_end("at most two inequalities may be joined by '&&'")
     return (first, second)
 
 
@@ -372,9 +369,7 @@ def parse_complex(text: str) -> complex:
     """Parse a constant expression such as ``1+2i`` or ``-0.5i``."""
     parser = _Parser(text)
     node, _ = parser.parse_expr()
-    tail = parser._peek()
-    if tail.kind != "end":
-        parser._error(f"unexpected trailing input {tail.text!r}", tail)
+    parser._expect_end()
     if has_var(node):
         raise ParseError("expected a constant, found the variable Z", _byte_offset(text, 0))
     return eval_expr(node, 0j)

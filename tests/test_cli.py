@@ -122,6 +122,22 @@ class TestSolve:
         assert doc["verification"]["passed"] is False
         assert doc["verification"]["mismatches"][0]["expected"] == "in"
 
+    @pytest.mark.parametrize("argv", [
+        ["Z >= 0", "--eps", "1e300"],
+        ["Z >= 0", "--eps", "inf"],
+        ["(1e-8)*Z - (1e-8) >= 0"],
+    ], ids=["huge-eps", "inf-eps", "tiny-coefficients"])
+    def test_verify_that_asserts_nothing_fails(self, capsys, argv):
+        status, out, err = run(capsys, "solve", *argv, "--verify")
+        assert status == 2
+        v = json.loads(out)["verification"]
+        assert list(v) == ["total", "skipped_boundary", "skipped_pole", "asserted",
+                           "mismatch_count", "mismatches", "passed"]
+        assert v["asserted"] == 0 and v["mismatch_count"] == 0 and v["passed"] is False
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("lexineq: verify asserted no probe")
+        assert str(v["skipped_boundary"]) in lines[0]
+
 
 class TestVerificationJson:
     def test_asserted_count(self, capsys):
@@ -220,6 +236,12 @@ class TestLaws:
         assert by_id["ComplexScalarMonotonicity"]["outcome"] == "counterexample"
         assert by_id["ComplexScalarMonotonicity"]["is_law"] is False
         assert by_id["ComplexScalarMonotonicity"]["witness"] is not None
+
+    @pytest.mark.parametrize("seed", ["-1", "-42"])
+    def test_negative_seed_refused(self, capsys, seed):
+        status, out, err = run(capsys, "laws", "--seed", seed)
+        assert status == 1 and out == ""
+        assert err == f"lexineq: error: seed must be >= 0, got {seed}\n"
 
 
 class TestEntryPoints:

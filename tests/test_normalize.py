@@ -136,6 +136,71 @@ class TestFoldingOverflow:
             classify_problem(parse("Z^3 * 2^1024 >= 1"))
 
 
+def _hex(z: complex) -> tuple[str, str]:
+    return (z.real.hex(), z.imag.hex())
+
+
+def _classified_bits(text: str):
+    """Every coefficient of ``classify_problem_ex`` as ``float.hex`` pairs
+    (signed zeros included), or the refusal as (class, message)."""
+    try:
+        problem, scale = classify_problem_ex(parse_input(text))
+    except UnsupportedFormError as exc:
+        return (type(exc).__name__, str(exc))
+    return (type(problem).__name__, tuple(_hex(getattr(problem, f)) for f in problem._fields),
+            None if scale is None else _hex(scale))
+
+
+# Inputs whose sides fold over unit denominators (every literal and Z has
+# denominator 1), with the exact bits their coefficients have always had:
+# the signs of zero parts depend on the order of the complex products.
+FOLDED_BITS = [
+    ('-Z >= 0',
+     ('Linear', (('-0x1.0000000000000p+0', '0x0.0p+0'), ('-0x0.0p+0', '-0x0.0p+0')), None)),
+    ('-(Z*i) >= -(1-1i)',
+     ('Linear', (('0x0.0p+0', '-0x1.0000000000000p+0'), ('-0x1.0000000000000p+0', '0x1.0000000000000p+0')), None)),
+    ('Z*(0+1i) - (1+2i) >= (-3-0.5i)',
+     ('Linear', (('0x0.0p+0', '0x1.0000000000000p+0'), ('-0x1.0000000000000p+1', '0x1.8000000000000p+0')), None)),
+    ('0*Z + Z >= 0',
+     ('Linear', (('0x1.0000000000000p+0', '0x0.0p+0'), ('-0x0.0p+0', '-0x0.0p+0')), None)),
+    ('i*i*Z >= -0.0',
+     ('Linear', (('-0x1.0000000000000p+0', '0x0.0p+0'), ('-0x0.0p+0', '-0x0.0p+0')), None)),
+    ('Z^2 - Z^2 + Z >= 0',
+     ('Linear', (('0x1.0000000000000p+0', '0x0.0p+0'), ('-0x0.0p+0', '-0x0.0p+0')), None)),
+    ('(Z - (1+2i))^2 >= (0.5-0.25i)',
+     ('Quadratic', (('0x1.0000000000000p+0', '0x0.0p+0'), ('-0x1.0000000000000p+1', '-0x1.0000000000000p+2'), ('-0x1.c000000000000p+1', '0x1.1000000000000p+2')), None)),
+    ('(Z + (0-1i))*(Z - (0-1i)) >= 0',
+     ('Quadratic', (('0x1.0000000000000p+0', '0x0.0p+0'), ('0x0.0p+0', '0x0.0p+0'), ('0x1.0000000000000p+0', '0x0.0p+0')), None)),
+    ('(1.1+0.3i)^3 >= Z',
+     ('Linear', (('-0x1.0000000000000p+0', '0x0.0p+0'), ('-0x1.08b4395810626p+0', '-0x1.0fdf3b645a1cbp+0')), None)),
+    ('Z/2 >= 1e-310',
+     ('Linear', (('0x1.0000000000000p-1', '0x0.0p+0'), ('0x0.012688b70e62bp-1022', '-0x0.0p+0')), None)),
+    ('(1e300)*Z >= 1e-300',
+     ('Linear', (('0x1.7e43c8800759cp+996', '0x0.0p+0'), ('0x1.56e1fc2f8f359p-997', '-0x0.0p+0')), None)),
+    ('1/(Z - (1+1i)) >= (2-1i)',
+     ('Fractional', (('0x0.0p+0', '0x0.0p+0'), ('0x1.0000000000000p+0', '0x0.0p+0'), ('-0x1.0000000000000p+0', '-0x1.0000000000000p+0'), ('0x1.0000000000000p+1', '-0x1.0000000000000p+0')), None)),
+    ('(2*Z + 1)/(Z - 1) >= 1i',
+     ('Fractional', (('0x1.0000000000000p+1', '0x0.0p+0'), ('0x1.0000000000000p+0', '0x0.0p+0'), ('-0x1.0000000000000p+0', '0x0.0p+0'), ('0x0.0p+0', '0x1.0000000000000p+0')), None)),
+    ('((1+2i)*Z + 3)/(2i*Z - 1) >= 0',
+     ('Fractional', (('0x1.0000000000000p+0', '-0x1.0000000000000p-1'), ('0x0.0p+0', '-0x1.8000000000000p+0'), ('0x0.0p+0', '0x1.0000000000000p-1'), ('0x0.0p+0', '0x0.0p+0')), ('0x0.0p+0', '0x1.0000000000000p+1'))),
+    ('1/Z + 1 >= 0',
+     ('Fractional', (('0x1.0000000000000p+0', '0x0.0p+0'), ('0x1.0000000000000p+0', '0x0.0p+0'), ('0x0.0p+0', '0x0.0p+0'), ('0x0.0p+0', '0x0.0p+0')), None)),
+    ('-Z >= 0 && Z*(-1) <= (0-1i)',
+     ('LinearSystem', (('-0x1.0000000000000p+0', '0x0.0p+0'), ('-0x0.0p+0', '-0x0.0p+0'), ('0x1.0000000000000p+0', '0x0.0p+0'), ('-0x0.0p+0', '0x1.0000000000000p+0')), None)),
+    ('2^1024 >= Z',
+     ('UnsupportedFormError', 'a constant overflows the float range (about 1.8e308) while the coefficients are folded')),
+    ('Z^3 * 2^1024 >= 1',
+     ('UnsupportedFormError', 'polynomial degree 3 is outside the solvable classes (max 2)')),
+    ('2^1024*Z^64*Z >= 1',
+     ('UnsupportedFormError', 'intermediate polynomial degree exceeds 64')),
+]
+
+
+@pytest.mark.parametrize("text, expected", FOLDED_BITS)
+def test_folded_coefficient_bits(text, expected):
+    assert _classified_bits(text) == expected
+
+
 def _problem_value(problem, z):
     values = _values(problem, z)
     assert len(values) == 1

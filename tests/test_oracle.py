@@ -284,6 +284,19 @@ class TestAsserted:
         assert report.skipped_boundary == 0 and report.skipped_pole == 0
         assert report.asserted == report.total == 41 * 41
 
+    @pytest.mark.parametrize("eps", [1e300, math.inf])
+    def test_asserting_nothing_fails(self, eps):
+        p = Linear(1 + 0j, 0j)
+        report = verify(p, solve(p), GridSpec(-2, 2, -2, 2, 41, 41), eps)
+        assert report.asserted == 0 and not report.mismatches
+        assert not report.passed
+
+    def test_one_asserted_probe_can_pass(self):
+        # every probe has margin 1 except Z = 0 (margin 0) and Z = 2i (margin 2)
+        p = Linear(1 + 0j, 0j)
+        report = verify(p, solve(p), GridSpec(-1, 1, 0, 2, 3, 2), eps=1.5)
+        assert report.asserted == 1 and report.passed
+
     def test_skips_are_subtracted(self):
         p = Fractional(0j, 1 + 0j, 0j, 1 + 0j)
         report = verify(p, solve(p), GridSpec(-2, 2, -2, 2, 41, 41))

@@ -6,6 +6,7 @@ import pytest
 
 from exprgen import gen_source, probe
 from lexineq import cli
+from lexineq import parser as parser_module
 from lexineq.errors import MultipleVariablesError, NonIntegerExponentError, ParseError
 from lexineq.parser import (
     MAX_EXPONENT,
@@ -117,6 +118,130 @@ def _nested(levels: int, pattern: str) -> str:
     for _ in range(levels):
         text = pattern.format(text)
     return text + " >= 1"
+
+
+def _outcome(fn: str, text: str):
+    """A parser call's result as text, or its error as (class, message, offset)."""
+    try:
+        result = getattr(parser_module, fn)(text)
+    except ParseError as exc:
+        return (type(exc).__name__, str(exc), exc.offset)
+    if fn == "parse_complex":
+        return repr(result)
+    if fn == "parse":
+        result = (result,)
+    return " && ".join(f"{e.lhs!r} >= {e.rhs!r}" for e in result)
+
+
+# Edge cases of the scanner and of the (a+bi) literal folding, with the
+# outcomes the grammar has always given them: trees that must not fold,
+# whitespace and non-ASCII input, and error messages with their byte offsets.
+EDGE_CASES = [
+    ('parse_input', '(1+0i) >= Z',
+     'Add(lhs=Lit(value=(1+0j)), rhs=Lit(value=0j)) >= Var()'),
+    ('parse_input', '(1+-2i) >= Z',
+     'Add(lhs=Lit(value=(1+0j)), rhs=Neg(operand=Lit(value=2j))) >= Var()'),
+    ('parse_input', '(- 1 - 2 I) >= Z',
+     'Lit(value=(-1-2j)) >= Var()'),
+    ('parse_input', '(-0+1i) >= Z',
+     'Lit(value=1j) >= Var()'),
+    ('parse_input', '(-(1+2i)) >= Z',
+     'Lit(value=(-1-2j)) >= Var()'),
+    ('parse_input', '-(1+2i) >= Z',
+     'Neg(operand=Lit(value=(1+2j))) >= Var()'),
+    ('parse_input', '(1+i) >= Z',
+     'Lit(value=(1+1j)) >= Var()'),
+    ('parse_input', '(-1-1e-320i) >= Z',
+     'Lit(value=(-1-1e-320j)) >= Var()'),
+    ('parse_input', '(1-0.0i) >= Z',
+     'Sub(lhs=Lit(value=(1+0j)), rhs=Lit(value=0j)) >= Var()'),
+    ('parse_input', '(1+2i+3i) >= Z',
+     'Add(lhs=Lit(value=(1+2j)), rhs=Lit(value=3j)) >= Var()'),
+    ('parse_input', '(1+2i*Z) >= Z',
+     'Add(lhs=Lit(value=(1+0j)), rhs=Mul(lhs=Lit(value=2j), rhs=Var())) >= Var()'),
+    ('parse_input', '(i+2i) >= Z',
+     'Add(lhs=Lit(value=1j), rhs=Lit(value=2j)) >= Var()'),
+    ('parse_input', '(1 + (2i)) >= Z',
+     'Lit(value=(1+2j)) >= Var()'),
+    ('parse_input', '(1+2ii) >= Z',
+     ('ParseError', "expected ')', found 'ii' (at byte 4)", 4)),
+    ('parse_input', '(1 +2i',
+     ('ParseError', "expected ')', found 'end of input' (at byte 6)", 6)),
+    ('parse_input', '(1e999+1i) >= Z',
+     ('ParseError', 'numeric literal overflows to infinity (at byte 1)', 1)),
+    ('parse_input', '(1+1e999i) >= Z',
+     ('ParseError', 'numeric literal overflows to infinity (at byte 3)', 3)),
+    ('parse_input', '(1+2i)^2 >= Z',
+     'Pow(base=Lit(value=(1+2j)), exponent=2) >= Var()'),
+    ('parse_input', '-1-2i >= Z',
+     'Lit(value=(-1-2j)) >= Var()'),
+    ('parse_input', '1 i >= Z',
+     'Lit(value=1j) >= Var()'),
+    ('parse_input', 'Z >= 1e5i',
+     'Var() >= Lit(value=100000j)'),
+    ('parse_input', 'Z >= 1e',
+     ('ParseError', "unexpected trailing input 'e' (at byte 6)", 6)),
+    ('parse_input', 'Z >= ２',
+     'Var() >= Lit(value=(2+0j))'),
+    ('parse_input', 'Z >= ２ + é',
+     ('ParseError', "unexpected character 'é' (at byte 11)", 11)),
+    ('parse_input', '',
+     ('ParseError', "expected a value, found 'end of input' (at byte 0)", 0)),
+    ('parse_input', ' ',
+     ('ParseError', "expected a value, found 'end of input' (at byte 1)", 1)),
+    ('parse_input', '\tZ\t>=\t1\t',
+     'Var() >= Lit(value=(1+0j))'),
+    ('parse_input', 'Z >= 1 \t\n',
+     'Var() >= Lit(value=(1+0j))'),
+    ('parse_input', 'Z\xa0>= 1',
+     'Var() >= Lit(value=(1+0j))'),
+    ('parse_input', 'Z >= 1\u200b',
+     ('ParseError', "unexpected character '\\u200b' (at byte 6)", 6)),
+    ('parse_input', 'Z >= é',
+     ('ParseError', "unexpected character 'é' (at byte 5)", 5)),
+    ('parse_input', 'é',
+     ('ParseError', "unexpected character 'é' (at byte 0)", 0)),
+    ('parse_input', 'Zé >= 1',
+     ('MultipleVariablesError', "unsupported variable 'Zé'; the only variable is Z (at byte 0)", 0)),
+    ('parse_input', 'Z ) >= é',
+     ('ParseError', "unexpected character 'é' (at byte 7)", 7)),
+    ('parse_input', 'Z (1+2i)',
+     ('ParseError', "expected '>=' or '<=', found '(' (at byte 2)", 2)),
+    ('parse_input', 'Z^(2) >= 0',
+     ('NonIntegerExponentError', 'exponent must be a positive integer literal (at byte 2)', 2)),
+    ('parse_input', 'Z^01 >= 0',
+     'Pow(base=Var(), exponent=1) >= Lit(value=0j)'),
+    ('parse_input', 'Z >= 1 &&',
+     ('ParseError', "expected a value, found 'end of input' (at byte 9)", 9)),
+    ('parse_input', '&& Z >= 1',
+     ('ParseError', "expected a value, found '&&' (at byte 0)", 0)),
+    ('parse_input', 'Z && Z >= 1',
+     ('ParseError', "expected '>=' or '<=', found '&&' (at byte 2)", 2)),
+    ('parse_input', 'Z >= 1 && Z >= 2 && Z >= 3',
+     ('ParseError', "at most two inequalities may be joined by '&&' (at byte 17)", 17)),
+    ('parse_input', 'Z >= 1 & Z >= 2',
+     ('ParseError', "unexpected character '&' (at byte 7)", 7)),
+    ('parse', 'Z >= 1 && Z >= 0',
+     ('ParseError', "'&&' joins two inequalities; use parse_input for systems (at byte 7)", 7)),
+    ('parse_complex', '1+2i',
+     '(1+2j)'),
+    ('parse_complex', ' -0.5i ',
+     '(-0-0.5j)'),
+    ('parse_complex', '(1+2i) Z',
+     ('ParseError', "unexpected trailing input 'Z' (at byte 7)", 7)),
+    ("parse_input", "(" * (LIMIT - 2) + "(-1+2i)" + ")" * (LIMIT - 2) + " >= Z",
+     "Lit(value=(-1+2j)) >= Var()"),
+    ("parse_input", "(" * (LIMIT - 1) + "(1+2i)" + ")" * (LIMIT - 1) + " >= Z",
+     "Lit(value=(1+2j)) >= Var()"),
+    ("parse_input", "(" * (LIMIT - 1) + "(-1+2i)" + ")" * (LIMIT - 1) + " >= Z",
+     ("ParseError", "expression nests deeper than 100 levels of parentheses and unary minus "
+      "(at byte 100)", 100)),
+]
+
+
+@pytest.mark.parametrize("fn, text, expected", EDGE_CASES)
+def test_edge_case_outcomes(fn, text, expected):
+    assert _outcome(fn, text) == expected
 
 
 class TestNestingLimit:
