@@ -180,8 +180,12 @@ def _classify_single(src: SourceExpr) -> tuple[InequalityProblem, complex | None
     if not den:
         raise UnsupportedFormError("the inequality is nowhere defined (zero denominator)")
     if _deg(den) == 0:
-        k = den[0]
-        poly = [complex_div(c, k) for c in num]
+        if den is _ONE:
+            # complex_div(c, 1+0j) takes Smith's wide branch with t = 0.0
+            # and d = 1.0: the same bits, signed zeros, inf and nan included
+            poly = [complex(c.real + c.imag * 0.0, c.imag - c.real * 0.0) for c in num]
+        else:
+            poly = [complex_div(c, den[0]) for c in num]
         degree = _deg(poly)
         if degree <= 2:
             _require_folded_finite(poly)

@@ -8,10 +8,27 @@ so any solver bug shows up as a disagreement when :func:`verify` sweeps
 a grid and compares both answers pointwise.
 
 A raster needs only that decision per cell, so :func:`sample_raster`
-reduces the computed values to membership codes alone.  It decides each
-cell on the real parts of the values first, as the dictionary order
-does, and computes the imaginary parts and the pole mask only on the
-few undecided cells, where a real part is 0 or nan (every pole is one).
+reduces the computed values to membership codes alone, on three levels:
+
+1. A linear, system or quadratic raster settles whole blocks of cells
+   from bounds of the computed real parts (:func:`_block_codes`).
+   Every round-to-nearest ``+ - *`` is monotone in each operand, and
+   each input of the real part's expression tree enters it once: the
+   coordinates of z, and for a quadratic also the two parts of z*z,
+   whose ranges over the block are bounded first.  So the tree's
+   extremes over a block lie at two corners, picked by the signs of the
+   coefficients.  A block is in when every constraint's bounds are
+   finite and > 0, and out when some constraint's are finite and < 0;
+   those are the codes its cells would get lane by lane, bit for bit.
+2. The cells of the other blocks, and every cell of a fraction, are
+   decided on the real parts of their values, as the dictionary order
+   does.
+3. The imaginary parts and the pole mask are computed only on the few
+   cells where a real part is 0 or nan (every pole is one).
+
+The bounds are those of the computed real part, not of the exact one.
+Once ties are decided exactly (ROADMAP item 2), a block may be settled
+only where ``lo`` exceeds the error bound of that computation, not 0.
 The tie margins are computed only by :func:`verify` and the APIs that
 return them, :func:`problem_grid` and ``solver.solution_grid_margin``.
 
@@ -83,6 +100,15 @@ MAX_CELLS = 1 << 24
 # overhead, and were no faster for rasters and slower for verify, and
 # 32768 points fault on every tile and were slower for both.
 _TILE_POINTS = 16384
+
+# Side, in grid points, of the square blocks that a linear, system or
+# quadratic raster settles whole from bounds (:func:`_block_codes`)
+# before it evaluates any lane; the code of a block they leave open.
+# Measured on the 1001 x 1001 rasters of the benchmark corpus: 12 was no
+# faster, 8 was slower (four times the blocks to bound), and so was 32
+# (twice the lanes gathered around the boundary).
+_BLOCK = 16
+_UNDECIDED = 255
 
 
 @record
@@ -424,11 +450,13 @@ def verify(problem: InequalityProblem, solution: SolutionSet,
 def sample_raster(source: Union[Region, InequalityProblem], grid: GridSpec) -> Bitmap:
     """Evaluate membership of a region or inequality at every grid point.
 
-    Only membership codes are computed, tile by tile straight into the
-    raster; the margins :func:`problem_grid` also reports are not.  An
-    inequality's cells are decided on the real parts of its values; the
-    full values of :func:`problem_grid` decide only the cells where one
-    is 0 or nan.
+    Only membership codes are computed, straight into the raster; the
+    margins :func:`problem_grid` also reports are not.  A linear, system
+    or quadratic raster first settles whole blocks of cells from exact
+    bounds of the real parts (:func:`_block_codes`).  The cells of the
+    other blocks, and every cell of a fraction's raster, are decided on
+    the real parts of their values; the full values of
+    :func:`problem_grid` decide only the cells where one is 0 or nan.
     """
     import numpy as np
 
@@ -448,13 +476,189 @@ def sample_raster(source: Union[Region, InequalityProblem], grid: GridSpec) -> B
                 return
             if idx.size == zr.shape[0]:
                 # a real part that is 0 everywhere, as in `0*Z >= 1i`:
-                # take the whole tile, without a gather
+                # take all the lanes, without a gather
                 idx = slice(None)
             values, pole = _problem_lanes(source, zr[idx], zi[idx])
             out[idx] = _grid.codes(_grid.at_least_zero(values), pole)
     else:
         raise TypeError(f"cannot rasterize {source!r}")
     cells = np.empty(grid.nx * grid.ny, dtype=np.uint8)
-    for start, zr, zi in grid.tiles():
-        fill(zr, zi, cells[start:start + zr.shape[0]])
+    if isinstance(source, (Linear, LinearSystem, Quadratic)):
+        _fill_by_blocks(source, grid, fill, cells)
+    else:
+        for start, zr, zi in grid.tiles():
+            fill(zr, zi, cells[start:start + zr.shape[0]])
     return Bitmap(grid=grid, cells=cells)
+
+
+def _fill_by_blocks(problem: InequalityProblem, grid: GridSpec, fill, cells: np.ndarray) -> None:
+    """Fill a raster's ``cells`` block by block.
+
+    The grid is cut into blocks of ``_BLOCK`` x ``_BLOCK`` points, and
+    those into chunks of at most ``_TILE_POINTS`` rows, columns and
+    blocks, so that no array longer than a tile is held: a chunk's axis
+    pieces, its blocks' bounds and codes, and one batch of lanes.
+    :func:`_block_codes` settles most blocks of a chunk whole.  The lanes
+    of the others are gathered from the chunk's axis pieces, at most
+    ``_TILE_POINTS`` at a time, and ``fill`` decides them as it does a
+    tile's.  A chunk where most blocks stay open is filled lane by lane
+    in place instead.
+    """
+    import numpy as np
+
+    b = _BLOCK
+    nx, ny = grid.nx, grid.ny
+    cols = min(nx, _TILE_POINTS)
+    blocks_across = -(-cols // b)
+    rows = min(ny, _TILE_POINTS, _TILE_POINTS // blocks_across * b)
+    offsets = np.arange(b)
+    blocks_per_batch = _TILE_POINTS // (b * b)
+    view = cells.reshape(ny, nx)
+    for r0 in range(0, ny, rows):
+        ys = _axis(grid.im_min, grid.im_max, ny, r0, min(r0 + rows, ny))
+        ylo, yhi = _block_range(ys)
+        for c0 in range(0, nx, cols):
+            xs = _axis(grid.re_min, grid.re_max, nx, c0, min(c0 + cols, nx))
+            xlo, xhi = _block_range(xs)
+            codes = _block_codes(problem, xlo, xhi, ylo[:, None], yhi[:, None])
+            h, w = ys.shape[0], xs.shape[0]
+            undecided = np.flatnonzero(codes == _UNDECIDED)
+            if 2 * undecided.shape[0] > codes.size:
+                # gathering a lane costs about as much again as evaluating
+                # it in place (measured), so evaluate every lane in place
+                _fill_rows(fill, view[r0:r0 + h, c0:c0 + w], xs, ys)
+                continue
+            _paint_blocks(view[r0:r0 + h, c0:c0 + w], codes)
+            for k in range(0, undecided.shape[0], blocks_per_batch):
+                bi, bj = np.divmod(undecided[k:k + blocks_per_batch], codes.shape[1])
+                # each block's rows and columns; those past the edge of the
+                # chunk repeat its last one, so their lanes are evaluated and
+                # written twice, with the same code
+                r = np.minimum((bi * b)[:, None] + offsets, h - 1)
+                c = np.minimum((bj * b)[:, None] + offsets, w - 1)
+                shape = (r.shape[0], b, b)
+                out = np.empty(shape, dtype=np.uint8)
+                fill(np.broadcast_to(xs[c][:, None, :], shape).ravel(),
+                     np.broadcast_to(ys[r][:, :, None], shape).ravel(), out.reshape(-1))
+                cells[((r + r0) * nx)[:, :, None] + (c + c0)[:, None, :]] = out
+
+
+def _fill_rows(fill, target: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> None:
+    """``fill`` every lane of ``target``, a (len(ys), len(xs)) view of the
+    raster, whole rows at a time, at most ``_TILE_POINTS`` lanes at once."""
+    import numpy as np
+
+    h, w = target.shape
+    k = max(1, _TILE_POINTS // w)
+    zr = np.tile(xs, min(k, h))
+    for i in range(0, h, k):
+        y = ys[i:i + k]
+        out = np.empty(y.shape[0] * w, dtype=np.uint8)
+        fill(zr[:out.shape[0]], np.repeat(y, w), out)
+        target[i:i + k] = out.reshape(-1, w)
+
+
+def _block_range(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest value of each ``_BLOCK`` points of an axis piece.
+
+    The computed axis need not be monotone, so every point is looked at.
+    """
+    import numpy as np
+
+    starts = np.arange(0, axis.shape[0], _BLOCK)
+    return np.minimum.reduceat(axis, starts), np.maximum.reduceat(axis, starts)
+
+
+def _paint_blocks(target: np.ndarray, codes: np.ndarray) -> None:
+    """Write each block's code to every cell of that block of ``target``.
+
+    ``target`` is a (rows, columns) view of the raster, and ``codes``
+    holds one code per block of it, the last row and column of blocks
+    possibly cut short.
+    """
+    import numpy as np
+
+    expanded = np.repeat(codes, _BLOCK, axis=1)[:, :target.shape[1]]  # a row per row of blocks
+    for i in range(min(_BLOCK, target.shape[0])):
+        # row i of every row of blocks
+        rows = target[i::_BLOCK]
+        rows[...] = expanded[:rows.shape[0]]
+
+
+def _block_codes(problem: InequalityProblem, xlo, xhi, ylo, yhi) -> np.ndarray:
+    """IN or OUT for the blocks whose bounds settle every lane, else ``_UNDECIDED``.
+
+    The blocks are the boxes ``[xlo, xhi] x [ylo, yhi]`` (arrays that
+    broadcast together).  A block is IN when every constraint's real
+    part has finite bounds ``lo > 0``, and OUT when some constraint's has
+    finite bounds ``hi < 0``: then every real part is > 0 at every lane,
+    or some constraint's is < 0 at every lane, which is what
+    :func:`_grid.decide_real` finds lane by lane.  Any other block, a nan
+    or inf bound included, is undecided.
+    """
+    import numpy as np
+
+    inside = outside = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in _real_bounds(problem, xlo, xhi, ylo, yhi):
+            positive = (lo > 0.0) & (hi < np.inf)
+            negative = (hi < 0.0) & (lo > -np.inf)
+            inside = positive if inside is None else inside & positive
+            outside = negative if outside is None else outside | negative
+    codes = np.full(inside.shape, _UNDECIDED, dtype=np.uint8)
+    codes[inside] = _kernels.IN
+    codes[outside] = _kernels.OUT
+    return codes
+
+
+def _extremes(weight: float, lo, hi) -> tuple:
+    """The ends of ``[lo, hi]`` at which ``weight * v`` is least and greatest."""
+    return (lo, hi) if weight >= 0.0 else (hi, lo)
+
+
+def _real_bounds(problem: InequalityProblem, xlo, xhi, ylo, yhi) -> list:
+    """``(lo, hi)`` of each constraint's computed real part over the blocks.
+
+    Every lane's real part lies in ``[lo, hi]`` when both are finite.
+    The real part is a tree of rounded ``+ - *`` over the inputs
+    ``zr, zi`` (a linear constraint) or ``zr, zi, sr, si`` with
+    ``(sr, si) = csq(zr, zi)`` (a quadratic), each input used once.
+    Rounding to nearest is monotone in each operand, so the tree is
+    monotone in each input, in the direction of the sign of the
+    coefficient it is multiplied by; its least and greatest values over a
+    box of inputs are at the two corners that :func:`_extremes` picks.
+    The square's inputs are bounded over a block first: ``fl(x*x)`` is
+    monotone in ``|x|``, and ``fl(x*y)`` in each of x and y, so it is
+    extreme at the block's corners.  Should any value at any corner
+    overflow, the sum it enters also does at one of the two corners
+    (or is nan there), so finite bounds rule out inf and nan in between.
+    """
+    import numpy as np
+
+    if isinstance(problem, Quadratic):
+        (ar, ai), (br, bi), cr = _parts(problem.a), _parts(problem.b), problem.c.real
+        xx_lo, xx_hi = _square_range(xlo, xhi)
+        yy_lo, yy_hi = _square_range(ylo, yhi)
+        p = (xlo * ylo, xlo * yhi, xhi * ylo, xhi * yhi)
+        p_lo = np.minimum(np.minimum(p[0], p[1]), np.minimum(p[2], p[3]))
+        p_hi = np.maximum(np.maximum(p[0], p[1]), np.maximum(p[2], p[3]))
+        corners = zip(_extremes(ar, xx_lo - yy_hi, xx_hi - yy_lo),
+                      _extremes(-ai, p_lo + p_lo, p_hi + p_hi),
+                      _extremes(br, xlo, xhi), _extremes(-bi, ylo, yhi))
+        return [tuple(_kernels.quadratic_real(ar, ai, br, bi, cr, zr, zi, sr, si)
+                      for sr, si, zr, zi in corners)]
+    pairs = [(problem.a, problem.b)]
+    if isinstance(problem, LinearSystem):
+        pairs.append((problem.c, problem.d))
+    return [tuple(_kernels.linear_real(a.real, a.imag, b.real, zr, zi)
+                  for zr, zi in zip(_extremes(a.real, xlo, xhi), _extremes(-a.imag, ylo, yhi)))
+            for a, b in pairs]
+
+
+def _square_range(lo, hi) -> tuple:
+    """Bounds of ``fl(v*v)`` for v in ``[lo, hi]``: 0 below when the range holds 0."""
+    import numpy as np
+
+    sq_lo, sq_hi = lo * lo, hi * hi
+    straddles = (lo <= 0.0) & (hi >= 0.0)
+    return np.where(straddles, 0.0, np.minimum(sq_lo, sq_hi)), np.maximum(sq_lo, sq_hi)

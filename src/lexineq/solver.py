@@ -257,7 +257,13 @@ def solve_quadratic(a: complex, b: complex, c: complex) -> SolutionSet:
     pol = polar_decompose(a)
     shift = _in_float_range(-complex_div(b, 2 * a), "offset")
     disc = b * b - 4 * a * c
-    anchor = _in_float_range(complex_div(disc, complex(4 * pol.r * a.real, 4 * pol.r * a.imag)))
+    scale = complex(4 * pol.r * a.real, 4 * pol.r * a.imag)
+    if scale == 0:
+        # |A| below about 1e-162: 4|A|A rounds to 0, and dividing by it
+        # would raise "complex division by zero"
+        raise ValueError("computing the solution threshold underflows the float range: "
+                         "4|A|A is below the smallest float (about 4.9e-324)")
+    anchor = _in_float_range(complex_div(disc, scale))
     region = Region(anchor, (Sqrt(),))
     half = pol.theta / 2.0
     if half != 0.0:

@@ -86,6 +86,17 @@ class TestSolve:
         assert len(lines) == 1 and lines[0].startswith("lexineq: error:")
         assert "float range" in lines[0]
 
+    @pytest.mark.parametrize("flags", [(), ("--verify",)], ids=["plain", "verify"])
+    def test_threshold_underflow_refused(self, capsys, flags):
+        # 4|A|A underflows to 0 for |A| = 1e-170: refused as out of the float
+        # range, not as the division by zero that would follow
+        status, out, err = run(capsys, "solve", "(1e-170)*Z^2 + (1e-170)*Z + 1e-170 >= 0", *flags)
+        assert status == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("lexineq: error:")
+        assert "underflows the float range" in lines[0]
+        assert "division by zero" not in lines[0]
+
     @pytest.mark.parametrize("text", ["(1.5e308+1.5e308i)*Z >= 1e308",
                                       "(1.5e308+1.5e308i)/Z >= 1"])
     @pytest.mark.parametrize("flags", [(), ("--verify",)], ids=["plain", "verify"])

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from lexineq import _grid, _kernels
+from lexineq import _grid, _kernels, oracle
 from lexineq.errors import PoleError
 from lexineq.oracle import (
     GridSpec,
@@ -298,3 +298,113 @@ class TestUndecidedLanes:
         nan = np.isnan(expected)
         assert np.array_equal(np.isnan(got), nan)
         assert got[~nan].tobytes() == expected[~nan].tobytes()
+
+
+def _block_codes(problem, grid):
+    """The block codes of a grid that :func:`sample_raster` takes in one chunk."""
+    xlo, xhi = oracle._block_range(grid.re_axis())
+    ylo, yhi = oracle._block_range(grid.im_axis())
+    return oracle._block_codes(problem, xlo, xhi, ylo[:, None], yhi[:, None])
+
+
+def _wide_coefficient(rng):
+    """Components m * 2^e with e in [-600, 600], near 1.5e308, or zero."""
+    parts = []
+    for _ in range(2):
+        k = int(rng.integers(0, 8))
+        if k == 0:
+            parts.append(float(rng.choice([0.0, -0.0])))
+        elif k == 1:
+            parts.append(float(rng.choice([-1.0, 1.0]) * rng.uniform(1.4e308, 1.6e308)))
+        else:
+            parts.append(float(rng.integers(-24, 25)) / 8.0 * 2.0 ** int(rng.integers(-600, 601)))
+    return complex(*parts)
+
+
+def _wide_problem(rng, kind):
+    c = [_wide_coefficient(rng) for _ in range(4)]
+    if kind == "linear":
+        return Linear(c[0], c[1])
+    if kind == "system":
+        return LinearSystem(*c)
+    return Quadratic(c[0], c[1], c[2])
+
+
+BLOCK_GRIDS = {
+    # neither count a multiple of the block side
+    "straddles-both-axes": GridSpec(-2, 2, -1.5, 1.5, 37, 53),
+    "avoids-the-axes": GridSpec(0.25, 3, 0.5, 2, 45, 29),
+    "avoids-the-axes-elsewhere": GridSpec(-7, -1, 1, 9, 33, 18),
+    "1e160": GridSpec(-1e160, 1e160, -1e160, 1e160, 41, 41),
+    "row-longer-than-a-tile": GridSpec(-2, 2, -2, 2, oracle._TILE_POINTS + 17, 3),
+}
+
+
+class TestBlockDecision:
+    """Linear, system and quadratic rasters settle whole blocks from bounds
+    of the computed real parts; every cell must keep the code that
+    :func:`problem_grid` gives it, whatever the coefficients and window."""
+
+    def test_grids_cover_the_block_cases(self):
+        b = oracle._BLOCK
+        for grid in BLOCK_GRIDS.values():
+            assert grid.nx % b and grid.ny % b
+        assert BLOCK_GRIDS["row-longer-than-a-tile"].nx > oracle._TILE_POINTS
+
+    @pytest.mark.parametrize("kind", ["linear", "system", "quadratic"])
+    @pytest.mark.parametrize("grid_name", BLOCK_GRIDS)
+    def test_random_wide_coefficients(self, kind, grid_name):
+        grid = BLOCK_GRIDS[grid_name]
+        rng = np.random.default_rng([51, len(kind), len(grid_name)])
+        zr, zi = grid.points()
+        draws = 4 if grid.nx > oracle._TILE_POINTS else 25
+        for _ in range(draws):
+            problem = _wide_problem(rng, kind)
+            with np.errstate(all="ignore"):  # the overflow defect of the direct evaluators
+                cells = sample_raster(problem, grid).cells
+                codes, _ = problem_grid(problem, zr, zi)
+            assert cells.tobytes() == codes.tobytes(), problem
+
+    @pytest.mark.parametrize("grid_name", ["straddles-both-axes", "avoids-the-axes"])
+    def test_small_coefficients_decide_most_blocks(self, grid_name):
+        # the corpus-like case: both decided and undecided blocks occur
+        grid = BLOCK_GRIDS[grid_name]
+        rng = np.random.default_rng(52)
+        seen = set()
+        for _ in range(30):
+            c = [complex(*(rng.integers(-24, 25, 2) / 8.0)) for _ in range(4)]
+            for problem in (Linear(c[0], c[1]), LinearSystem(*c), Quadratic(c[0], c[1], c[2])):
+                seen.update(np.unique(_block_codes(problem, grid)).tolist())
+                cells = sample_raster(problem, grid).cells
+                assert cells.tobytes() == problem_grid(problem, *grid.points())[0].tobytes()
+        assert seen == {Membership.OUT, Membership.IN, oracle._UNDECIDED}
+
+    @pytest.mark.parametrize("problem, code", [
+        (Linear(1 + 0j, -10 + 0j), Membership.IN),                  # Re z + 10 > 0
+        (Quadratic(1e-3 + 0j, 0j, 5 + 0j), Membership.IN),          # 1e-3 Re z^2 + 5 > 0
+        (LinearSystem(1 + 0j, 0j, 0j, 1 + 0j), Membership.OUT),     # 0*Z - 1 < 0
+    ])
+    def test_every_block_decided(self, problem, code):
+        grid = BLOCK_GRIDS["straddles-both-axes"]
+        assert set(_block_codes(problem, grid).ravel().tolist()) == {code}
+        cells = sample_raster(problem, grid).cells
+        assert set(cells.tolist()) == {code}
+        assert cells.tobytes() == problem_grid(problem, *grid.points())[0].tobytes()
+
+    @pytest.mark.parametrize("problem, grid_name", [
+        # 1.5e308 * Re z and 1.5e308 * Im z both overflow to inf: inf - inf
+        (Linear(1.5e308 + 1.5e308j, 1e308 + 0j), "avoids-the-axes"),
+        # Re z^2 overflows to inf - inf at every block's far corner
+        (Quadratic(1 + 0j, 0j, -1 + 0j), "1e160"),
+    ])
+    def test_no_block_decided(self, problem, grid_name):
+        grid = BLOCK_GRIDS[grid_name]
+        xlo, xhi = oracle._block_range(grid.re_axis())
+        ylo, yhi = oracle._block_range(grid.im_axis())
+        with np.errstate(all="ignore"):
+            (lo, hi), = oracle._real_bounds(problem, xlo, xhi, ylo[:, None], yhi[:, None])
+            assert np.isnan(lo).any() or np.isnan(hi).any()
+            assert set(_block_codes(problem, grid).ravel().tolist()) == {oracle._UNDECIDED}
+            cells = sample_raster(problem, grid).cells
+            codes, _ = problem_grid(problem, *grid.points())
+        assert cells.tobytes() == codes.tobytes()

@@ -193,6 +193,24 @@ FOLDED_BITS = [
      ('UnsupportedFormError', 'polynomial degree 3 is outside the solvable classes (max 2)')),
     ('2^1024*Z^64*Z >= 1',
      ('UnsupportedFormError', 'intermediate polynomial degree exceeds 64')),
+    # signed zeros in the literals, over the shared unit denominator and
+    # over denominators that equal 1 without being it
+    ('(-0.0+1i)*Z >= 0',
+     ('Linear', (('0x0.0p+0', '0x1.0000000000000p+0'), ('-0x0.0p+0', '-0x0.0p+0')), None)),
+    ('(-0.0-1i)*Z + (-0.0-0.0i) >= (0.0-0.0i)',
+     ('Linear', (('0x0.0p+0', '-0x1.0000000000000p+0'), ('-0x0.0p+0', '-0x0.0p+0')), None)),
+    ('(-0.0+1i)*Z^2 + (0-0.0i)*Z >= (-0.0-0.0i)',
+     ('Quadratic', (('0x0.0p+0', '0x1.0000000000000p+0'), ('0x0.0p+0', '0x0.0p+0'), ('0x0.0p+0', '0x0.0p+0')), None)),
+    ('(-0.0+1i) >= (-0.0+1i)*Z',
+     ('Linear', (('0x0.0p+0', '-0x1.0000000000000p+0'), ('-0x0.0p+0', '-0x1.0000000000000p+0')), None)),
+    ('Z/1 >= (-0.0+0i)',
+     ('Linear', (('0x1.0000000000000p+0', '0x0.0p+0'), ('-0x0.0p+0', '-0x0.0p+0')), None)),
+    ('(-0.0+1i)*Z/(1-0.0i) >= (0-0.0i)',
+     ('Linear', (('0x0.0p+0', '0x1.0000000000000p+0'), ('-0x0.0p+0', '-0x0.0p+0')), None)),
+    ('((-0.0-1i)*Z^2 - (-0.0+0i))/(1-0.0i) >= 0',
+     ('Quadratic', (('0x0.0p+0', '-0x1.0000000000000p+0'), ('0x0.0p+0', '0x0.0p+0'), ('0x0.0p+0', '0x0.0p+0')), None)),
+    ('(1-0.0i)*Z - (-0.0+0.0i) >= 0 && (-0.0-2i)*Z >= (-0.0+0i)',
+     ('LinearSystem', (('0x1.0000000000000p+0', '0x0.0p+0'), ('-0x0.0p+0', '-0x0.0p+0'), ('0x0.0p+0', '-0x1.0000000000000p+1'), ('-0x0.0p+0', '-0x0.0p+0')), None)),
 ]
 
 

@@ -195,6 +195,30 @@ class TestTiling:
         assert bitmap.cells.dtype == np.uint8
         assert np.array_equal(bitmap.cells, reference_raster(problem, grid))
 
+    @pytest.mark.parametrize("problem", [
+        Linear(1 + 0j, 0.3 + 0j),  # one column of blocks straddles Re z = 0.3
+        Linear(1j, 0j),            # every block straddles Im z = 0: all lanes evaluated
+        Linear(0j, 1j),            # real part 0 on every lane: all lanes take the tie path
+    ], ids=["boundary", "every-block-open", "all-tied"])
+    def test_memory_is_bounded_by_a_tile(self, problem):
+        # 2^21 x 4 cells: the raster's own bytes (8 MiB) plus a few tiles
+        # of temporaries, never an array per cell or a whole row's axis
+        # (16 MiB of float64 here)
+        grid = GridSpec(-2, 2, -2, 2, 1 << 21, 4)
+        tracemalloc.start()
+        try:
+            bitmap = sample_raster(problem, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bitmap.cells.nbytes + 8 * (TILE * 8)
+        # the first and the last tile of cells, against direct evaluation
+        for row, c0 in ((0, 0), (grid.ny - 1, grid.nx - TILE)):
+            zr = oracle._axis(grid.re_min, grid.re_max, grid.nx, c0, c0 + TILE)
+            zi = np.full(TILE, grid.im_axis()[row])
+            start = row * grid.nx + c0
+            assert bitmap.cells[start:start + TILE].tobytes() == problem_grid(problem, zr, zi)[0].tobytes()
+
     @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
     def test_region_raster_matches_whole_grid(self, grid):
         region = Region(-1 + 0j, (Sqrt(),))

@@ -217,6 +217,12 @@ class TestSolveQuadratic:
         with pytest.raises(ZeroLeadingCoefficientError):
             solve_quadratic(0j, 1 + 0j, 0j)
 
+    @pytest.mark.parametrize("a", [1e-170 + 0j, 1e-170j, 5e-324 + 0j])
+    def test_threshold_denominator_underflow(self, a):
+        # 4|A|A rounds to 0: a named refusal, not a ZeroDivisionError
+        with pytest.raises(ValueError, match="underflows the float range"):
+            solve_quadratic(a, a, a)
+
     def test_rotated_chain_grid_equivalence(self):
         p = Quadratic(1j, 2 + 0j, 1j)
         assert verify(p, solve_quadratic(p.a, p.b, p.c)).passed
