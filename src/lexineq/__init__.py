@@ -19,11 +19,7 @@ from .errors import (
 from .lexorder import (
     Ordering,
     Polar,
-    complex_add,
     complex_div,
-    complex_mul,
-    complex_square,
-    complex_sub,
     lex_cmp,
     lex_ge,
     lex_le,

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import TYPE_CHECKING, Sequence
 
 from . import oracle
 from .errors import LexineqError, ParseError
@@ -42,7 +41,10 @@ from .region import (
 )
 from .solver import solve
 
+TYPE_CHECKING = False  # type checkers read it as True; saves importing typing
 if TYPE_CHECKING:
+    from collections.abc import Sequence
+
     from .laws import LawReport
 
 SCHEMA = "lexineq/1"

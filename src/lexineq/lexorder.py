@@ -25,11 +25,7 @@ __all__ = [
     "lex_le",
     "lex_ge",
     "polar_decompose",
-    "complex_add",
-    "complex_sub",
-    "complex_mul",
     "complex_div",
-    "complex_square",
     "require_finite",
 ]
 
@@ -105,18 +101,6 @@ def polar_decompose(a: complex) -> Polar:
     return Polar(r, theta)
 
 
-def complex_add(a: complex, b: complex) -> complex:
-    return a + b
-
-
-def complex_sub(a: complex, b: complex) -> complex:
-    return a - b
-
-
-def complex_mul(a: complex, b: complex) -> complex:
-    return a * b
-
-
 def complex_div(a: complex, b: complex) -> complex:
     """Complex division via Smith's scaled algorithm.
 
@@ -129,7 +113,3 @@ def complex_div(a: complex, b: complex) -> complex:
         raise ZeroDivisionError("complex division by zero")
     re, im = _kernels.cdiv(a.real, a.imag, b.real, b.imag)
     return complex(re, im)
-
-
-def complex_square(a: complex) -> complex:
-    return a * a

@@ -12,12 +12,15 @@ exactly.
 from __future__ import annotations
 
 import math
-from typing import Sequence, Union
 
 from .errors import UnsupportedFormError
 from .lexorder import complex_div
 from .parser import Add, Div, Expr, Lit, Mul, Neg, Pow, SourceExpr, Sub, Var
 from .solver import Fractional, InequalityProblem, Linear, LinearSystem, Quadratic
+
+TYPE_CHECKING = False  # type checkers read it as True; saves importing typing
+if TYPE_CHECKING:
+    from collections.abc import Sequence
 
 __all__ = ["classify_problem", "classify_problem_ex", "problem_kind"]
 
@@ -206,7 +209,7 @@ def _classify_single(src: SourceExpr) -> tuple[InequalityProblem, complex | None
 
 
 def classify_problem_ex(
-    source: Union[SourceExpr, Sequence[SourceExpr]],
+    source: SourceExpr | Sequence[SourceExpr],
 ) -> tuple[InequalityProblem, complex | None]:
     """Classify and also report the denominator scaling factor, if any."""
     if isinstance(source, SourceExpr):
@@ -226,7 +229,7 @@ def classify_problem_ex(
     return LinearSystem(first.a, first.b, second.a, second.b), None
 
 
-def classify_problem(source: Union[SourceExpr, Sequence[SourceExpr]]) -> InequalityProblem:
+def classify_problem(source: SourceExpr | Sequence[SourceExpr]) -> InequalityProblem:
     """Normalize a parsed inequality (or '&&' pair) into a solvable class.
 
     Everything is moved to the left-hand side and normalized to a

@@ -7,6 +7,11 @@ same evaluation on arrays.  It knows nothing about regions or solution chains,
 so any solver bug shows up as a disagreement when :func:`verify` sweeps
 a grid and compares both answers pointwise.
 
+:func:`verify` and :func:`sample_raster` walk a grid the same way, in
+pieces of at most ``_TILE_POINTS`` columns (:func:`_pieces`), whole
+rows of a piece at a time (:func:`_row_batches`), so that they hold no
+array longer than a tile, whatever the grid.
+
 A raster needs only that decision per cell, so :func:`sample_raster`
 reduces the computed values to membership codes alone, on three levels:
 
@@ -46,7 +51,6 @@ and the scalar commands built on them start without it.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Union
 
 from . import _kernels
 from ._record import record
@@ -63,7 +67,10 @@ from .solver import (
     solution_grid_margin,
 )
 
+TYPE_CHECKING = False  # type checkers read it as True; saves importing typing
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
     import numpy as np
 
 __all__ = [
@@ -157,28 +164,13 @@ class GridSpec:
         one row otherwise.  Yields ``(start, zr, zi)``, where ``start``
         is the flat index of the block's first point; concatenated in
         order, the blocks equal :meth:`points` bit for bit.  The ``zr``
-        arrays are read-only; blocks of whole rows share one real axis
-        tiled once.
+        arrays are read-only.
         """
-        import numpy as np
-
-        nx = self.nx
-        im = self.im_axis()
-        if nx > _TILE_POINTS:
-            # each piece of the real axis is computed again for every row,
-            # so no array as long as a row is ever held
-            for r in range(self.ny):
-                for c0 in range(0, nx, _TILE_POINTS):
-                    zr = _axis(self.re_min, self.re_max, nx, c0, min(c0 + _TILE_POINTS, nx))
-                    zr.flags.writeable = False
-                    yield r * nx + c0, zr, np.full(zr.shape, im[r])
-            return
-        rows = _TILE_POINTS // nx
-        tiled = np.tile(self.re_axis(), min(rows, self.ny))
-        tiled.flags.writeable = False
-        for r0 in range(0, self.ny, rows):
-            block = im[r0:r0 + rows]
-            yield r0 * nx, tiled[:block.shape[0] * nx], np.repeat(block, nx)
+        # a split row is a piece of its own, so the blocks come in grid order
+        rows = 1 if self.nx > _TILE_POINTS else self.ny
+        for r0, c0, xs, ys in _pieces(self, rows):
+            for i, zr, zi in _row_batches(xs, ys):
+                yield (r0 + i) * self.nx + c0, zr, zi
 
     @property
     def cell_diagonal(self) -> float:
@@ -200,6 +192,32 @@ def _axis(lo: float, hi: float, n: int, start: int, stop: int) -> np.ndarray:
 
     t = np.arange(start, stop, dtype=np.float64) / (n - 1)
     return lo * (1.0 - t) + hi * t
+
+
+def _pieces(grid: GridSpec, rows: int) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Cut ``grid`` into pieces of ``rows`` rows and at most ``_TILE_POINTS``
+    columns: ``(r0, c0, xs, ys)``, the first row and column and the axis
+    values of each piece, row by row and, within a row, column by column."""
+    cols = min(grid.nx, _TILE_POINTS)
+    for r0 in range(0, grid.ny, rows):
+        ys = _axis(grid.im_min, grid.im_max, grid.ny, r0, min(r0 + rows, grid.ny))
+        for c0 in range(0, grid.nx, cols):
+            yield r0, c0, _axis(grid.re_min, grid.re_max, grid.nx, c0, min(c0 + cols, grid.nx)), ys
+
+
+def _row_batches(xs: np.ndarray, ys: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The lanes of a piece, whole rows at a time, at most ``_TILE_POINTS`` at
+    once: ``(i, zr, zi)``, the first row in the piece and the row-major
+    coordinates of each batch, ``zr`` a read-only view of one tiling of xs."""
+    import numpy as np
+
+    w = xs.shape[0]
+    k = _TILE_POINTS // w
+    tiled = np.tile(xs, min(k, ys.shape[0]))
+    tiled.flags.writeable = False
+    for i in range(0, ys.shape[0], k):
+        y = ys[i:i + k]
+        yield i, tiled[:y.shape[0] * w], np.repeat(y, w)
 
 
 def default_grid() -> GridSpec:
@@ -263,7 +281,8 @@ class Bitmap:
         return "".join(lines)
 
 
-class Mismatch(NamedTuple):
+@record
+class Mismatch:
     point: complex
     expected: Membership  # direct evaluation
     got: Membership       # region/solution membership
@@ -447,30 +466,34 @@ def verify(problem: InequalityProblem, solution: SolutionSet,
     )
 
 
-def sample_raster(source: Union[Region, InequalityProblem], grid: GridSpec) -> Bitmap:
+def sample_raster(source: Region | InequalityProblem, grid: GridSpec) -> Bitmap:
     """Evaluate membership of a region or inequality at every grid point.
 
     Only membership codes are computed, straight into the raster; the
-    margins :func:`problem_grid` also reports are not.  A linear, system
-    or quadratic raster first settles whole blocks of cells from exact
-    bounds of the real parts (:func:`_block_codes`).  The cells of the
-    other blocks, and every cell of a fraction's raster, are decided on
-    the real parts of their values; the full values of
-    :func:`problem_grid` decide only the cells where one is 0 or nan.
+    margins :func:`problem_grid` also reports are not.  The grid is
+    walked piece by piece (:func:`_pieces`).  A linear, system or
+    quadratic raster first settles whole blocks of a piece from exact
+    bounds of the real parts (:func:`_fill_blocks`); every other piece
+    is filled whole rows at a time.  Its lanes are decided on the real
+    parts of their values; the full values of :func:`problem_grid`
+    decide only the lanes where one is 0 or nan.
     """
     import numpy as np
 
     from . import _grid
 
+    # fill(zr, zi, out) writes the codes of the lanes zr + zi*i, in order,
+    # to out: as many cells, of any shape, so that out may be a view of rows
+    # of the raster
     if isinstance(source, Region):
         def fill(zr, zi, out):
-            out[:] = membership_grid(source, zr, zi)
-    elif isinstance(source, (Linear, LinearSystem, Fractional, Quadratic)):
+            out[...] = membership_grid(source, zr, zi).reshape(out.shape)
+    elif isinstance(source, InequalityProblem):
         def fill(zr, zi, out):
             # the real parts decide every lane but those where one is 0 or
             # nan (every pole lane is one); the full values decide those
             inside, undecided = _grid.decide_real(_constraint_reals(source, zr, zi))
-            _grid.codes(inside, None, out)
+            _grid.codes(inside.reshape(out.shape), None, out)
             idx = np.flatnonzero(undecided)
             if idx.size == 0:
                 return
@@ -479,83 +502,65 @@ def sample_raster(source: Union[Region, InequalityProblem], grid: GridSpec) -> B
                 # take all the lanes, without a gather
                 idx = slice(None)
             values, pole = _problem_lanes(source, zr[idx], zi[idx])
-            out[idx] = _grid.codes(_grid.at_least_zero(values), pole)
+            out.flat[idx] = _grid.codes(_grid.at_least_zero(values), pole)
     else:
         raise TypeError(f"cannot rasterize {source!r}")
-    cells = np.empty(grid.nx * grid.ny, dtype=np.uint8)
-    if isinstance(source, (Linear, LinearSystem, Quadratic)):
-        _fill_by_blocks(source, grid, fill, cells)
-    else:
-        for start, zr, zi in grid.tiles():
-            fill(zr, zi, cells[start:start + zr.shape[0]])
+    nx, ny = grid.nx, grid.ny
+    # a piece has at most _TILE_POINTS rows, and at most _TILE_POINTS blocks
+    blocks_across = -(-min(nx, _TILE_POINTS) // _BLOCK)
+    rows = min(ny, _TILE_POINTS, _TILE_POINTS // blocks_across * _BLOCK)
+    bounded = isinstance(source, Linear | LinearSystem | Quadratic)
+    cells = np.empty(nx * ny, dtype=np.uint8)
+    view = cells.reshape(ny, nx)
+    for r0, c0, xs, ys in _pieces(grid, rows):
+        if bounded and _fill_blocks(source, fill, view, r0, c0, xs, ys):
+            continue
+        w = xs.shape[0]
+        for i, zr, zi in _row_batches(xs, ys):
+            fill(zr, zi, view[r0 + i:r0 + i + zr.shape[0] // w, c0:c0 + w])
     return Bitmap(grid=grid, cells=cells)
 
 
-def _fill_by_blocks(problem: InequalityProblem, grid: GridSpec, fill, cells: np.ndarray) -> None:
-    """Fill a raster's ``cells`` block by block.
+def _fill_blocks(problem: InequalityProblem, fill, view: np.ndarray, r0: int, c0: int,
+                 xs: np.ndarray, ys: np.ndarray) -> bool:
+    """Fill the piece of the raster ``view`` (ny x nx) from row ``r0`` and
+    column ``c0``, at axis values ``xs`` and ``ys``, block by block; False,
+    with nothing written, when most of its blocks stay open.
 
-    The grid is cut into blocks of ``_BLOCK`` x ``_BLOCK`` points, and
-    those into chunks of at most ``_TILE_POINTS`` rows, columns and
-    blocks, so that no array longer than a tile is held: a chunk's axis
-    pieces, its blocks' bounds and codes, and one batch of lanes.
-    :func:`_block_codes` settles most blocks of a chunk whole.  The lanes
-    of the others are gathered from the chunk's axis pieces, at most
-    ``_TILE_POINTS`` at a time, and ``fill`` decides them as it does a
-    tile's.  A chunk where most blocks stay open is filled lane by lane
-    in place instead.
+    The piece is cut into blocks of ``_BLOCK`` x ``_BLOCK`` points, and
+    :func:`_block_codes` settles most of them whole.  The lanes of the
+    others are gathered from the axis values, at most ``_TILE_POINTS``
+    at a time, and ``fill`` decides them as it does a row batch's.
     """
     import numpy as np
 
     b = _BLOCK
-    nx, ny = grid.nx, grid.ny
-    cols = min(nx, _TILE_POINTS)
-    blocks_across = -(-cols // b)
-    rows = min(ny, _TILE_POINTS, _TILE_POINTS // blocks_across * b)
+    h, w = ys.shape[0], xs.shape[0]
+    xlo, xhi = _block_range(xs)
+    ylo, yhi = _block_range(ys)
+    codes = _block_codes(problem, xlo, xhi, ylo[:, None], yhi[:, None])
+    undecided = np.flatnonzero(codes == _UNDECIDED)
+    if 2 * undecided.shape[0] > codes.size:
+        # gathering a lane costs about as much again as evaluating it in
+        # place (measured), so the caller evaluates every lane in place
+        return False
+    _paint_blocks(view[r0:r0 + h, c0:c0 + w], codes)
+    cells = view.reshape(-1)
     offsets = np.arange(b)
     blocks_per_batch = _TILE_POINTS // (b * b)
-    view = cells.reshape(ny, nx)
-    for r0 in range(0, ny, rows):
-        ys = _axis(grid.im_min, grid.im_max, ny, r0, min(r0 + rows, ny))
-        ylo, yhi = _block_range(ys)
-        for c0 in range(0, nx, cols):
-            xs = _axis(grid.re_min, grid.re_max, nx, c0, min(c0 + cols, nx))
-            xlo, xhi = _block_range(xs)
-            codes = _block_codes(problem, xlo, xhi, ylo[:, None], yhi[:, None])
-            h, w = ys.shape[0], xs.shape[0]
-            undecided = np.flatnonzero(codes == _UNDECIDED)
-            if 2 * undecided.shape[0] > codes.size:
-                # gathering a lane costs about as much again as evaluating
-                # it in place (measured), so evaluate every lane in place
-                _fill_rows(fill, view[r0:r0 + h, c0:c0 + w], xs, ys)
-                continue
-            _paint_blocks(view[r0:r0 + h, c0:c0 + w], codes)
-            for k in range(0, undecided.shape[0], blocks_per_batch):
-                bi, bj = np.divmod(undecided[k:k + blocks_per_batch], codes.shape[1])
-                # each block's rows and columns; those past the edge of the
-                # chunk repeat its last one, so their lanes are evaluated and
-                # written twice, with the same code
-                r = np.minimum((bi * b)[:, None] + offsets, h - 1)
-                c = np.minimum((bj * b)[:, None] + offsets, w - 1)
-                shape = (r.shape[0], b, b)
-                out = np.empty(shape, dtype=np.uint8)
-                fill(np.broadcast_to(xs[c][:, None, :], shape).ravel(),
-                     np.broadcast_to(ys[r][:, :, None], shape).ravel(), out.reshape(-1))
-                cells[((r + r0) * nx)[:, :, None] + (c + c0)[:, None, :]] = out
-
-
-def _fill_rows(fill, target: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> None:
-    """``fill`` every lane of ``target``, a (len(ys), len(xs)) view of the
-    raster, whole rows at a time, at most ``_TILE_POINTS`` lanes at once."""
-    import numpy as np
-
-    h, w = target.shape
-    k = max(1, _TILE_POINTS // w)
-    zr = np.tile(xs, min(k, h))
-    for i in range(0, h, k):
-        y = ys[i:i + k]
-        out = np.empty(y.shape[0] * w, dtype=np.uint8)
-        fill(zr[:out.shape[0]], np.repeat(y, w), out)
-        target[i:i + k] = out.reshape(-1, w)
+    for k in range(0, undecided.shape[0], blocks_per_batch):
+        bi, bj = np.divmod(undecided[k:k + blocks_per_batch], codes.shape[1])
+        # each block's rows and columns; those past the edge of the piece
+        # repeat its last one, so their lanes are evaluated and written
+        # twice, with the same code
+        r = np.minimum((bi * b)[:, None] + offsets, h - 1)
+        c = np.minimum((bj * b)[:, None] + offsets, w - 1)
+        shape = (r.shape[0], b, b)
+        out = np.empty(shape, dtype=np.uint8)
+        fill(np.broadcast_to(xs[c][:, None, :], shape).ravel(),
+             np.broadcast_to(ys[r][:, :, None], shape).ravel(), out)
+        cells[((r + r0) * view.shape[1])[:, :, None] + (c + c0)[:, None, :]] = out
+    return True
 
 
 def _block_range(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import re as _re
-from typing import Union
 
 from ._record import record
 from .errors import MultipleVariablesError, NonIntegerExponentError, ParseError
@@ -102,7 +101,7 @@ class Pow:
             raise ValueError("exponent must be a positive integer")
 
 
-Expr = Union[Lit, Var, Neg, Add, Sub, Mul, Div, Pow]
+Expr = Lit | Var | Neg | Add | Sub | Mul | Div | Pow
 
 
 @record
@@ -154,12 +153,10 @@ class _Parser:
     # levels stay well inside Python's default recursion limit of 1000.
     MAX_DEPTH = 100
     # Tree height limit: the walks of the tree (normalize, eval_expr,
-    # to_text) recurse once per node on a root-to-leaf path, and to_text
-    # once more per Pow and Neg node; each of those costs a nesting level,
-    # so at most MAX_DEPTH of them lie on a path.  A chain of binary
-    # operators builds a left-deep tree without any nesting, so height is
-    # limited on its own: 400 levels take about 500 frames in the deepest
-    # walk, half the default recursion limit.
+    # to_text) recurse once per node on a root-to-leaf path.  A chain of
+    # binary operators builds a left-deep tree without any nesting, so
+    # height is limited on its own: 400 levels take about 400 frames in
+    # each walk, under half the default recursion limit.
     MAX_HEIGHT = 400
 
     def __init__(self, text: str):
@@ -426,35 +423,38 @@ def _lit_text(v: complex) -> str:
     return f"({re_!r}{sign}{abs(im)!r}i)"
 
 
-def _primary_text(node: Expr) -> str:
-    if isinstance(node, Var):
-        return "Z"
-    if isinstance(node, Lit):
-        return _lit_text(node.value)
-    if isinstance(node, Neg):
-        return "-" + _primary_text(node.operand)
-    return "(" + to_text(node) + ")"
-
-
 def to_text(node: Expr) -> str:
     """Print an expression so that re-parsing reproduces the tree."""
+    return _text(node, 0)
+
+
+# each binary operator's text and how tightly it binds; a power binds at 3,
+# and Z, a literal and a negation at 4
+_BINARY = {Add: (" + ", 1), Sub: (" - ", 1), Mul: (" * ", 2), Div: (" / ", 2)}
+
+
+def _text(node: Expr, level: int) -> str:
+    """``node`` printed bare if it binds at ``level`` or tighter, else in parentheses.
+
+    Only the parentheses the grammar needs are printed: an operand on
+    the left of its operator may bind as loosely as the operator, one on
+    the right must bind more tightly, and the operand of a power or a
+    negation must be Z, a literal or a negation (``-Z^2`` is ``(-Z)^2``).
+    """
     if isinstance(node, Lit):
         return _lit_text(node.value)
     if isinstance(node, Var):
         return "Z"
     if isinstance(node, Neg):
-        return "-" + _primary_text(node.operand)
-    if isinstance(node, Add):
-        return f"({to_text(node.lhs)} + {to_text(node.rhs)})"
-    if isinstance(node, Sub):
-        return f"({to_text(node.lhs)} - {to_text(node.rhs)})"
-    if isinstance(node, Mul):
-        return f"({to_text(node.lhs)} * {to_text(node.rhs)})"
-    if isinstance(node, Div):
-        return f"({to_text(node.lhs)} / {to_text(node.rhs)})"
+        return "-" + _text(node.operand, 4)
     if isinstance(node, Pow):
-        return f"{_primary_text(node.base)}^{node.exponent}"
-    raise TypeError(f"not an expression node: {node!r}")
+        text, own = f"{_text(node.base, 4)}^{node.exponent}", 3
+    elif type(node) in _BINARY:
+        op, own = _BINARY[type(node)]
+        text = _text(node.lhs, own) + op + _text(node.rhs, own + 1)
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    return text if own >= level else f"({text})"
 
 
 def source_to_text(src: SourceExpr) -> str:

@@ -15,13 +15,13 @@ from __future__ import annotations
 import functools
 import math
 from enum import IntEnum
-from typing import TYPE_CHECKING, Union
 
 from . import _kernels
 from ._record import record
 from .errors import NonPositiveScaleError
 from .lexorder import require_finite
 
+TYPE_CHECKING = False  # type checkers read it as True; saves importing typing
 if TYPE_CHECKING:
     import numpy as np
 
@@ -111,7 +111,7 @@ class Sqrt:
     pass
 
 
-Transform = Union[Rotate, Scale, Translate, Invert, Sqrt]
+Transform = Rotate | Scale | Translate | Invert | Sqrt
 
 _KIND_CODE = {Rotate: _kernels.KIND_ROTATE, Scale: _kernels.KIND_SCALE,
               Translate: _kernels.KIND_TRANSLATE, Invert: _kernels.KIND_INVERT,
@@ -231,7 +231,7 @@ class Generic:
     boundary_note: str
 
 
-RegionClassification = Union[VerticalHalfPlane, ObliqueHalfPlane, Disc, HyperbolaDomain, Generic]
+RegionClassification = VerticalHalfPlane | ObliqueHalfPlane | Disc | HyperbolaDomain | Generic
 
 
 def classify(region: Region) -> RegionClassification:

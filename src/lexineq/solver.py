@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import TYPE_CHECKING, Union
 
 from . import _kernels
 from ._record import record
@@ -36,6 +35,7 @@ from .region import (
     contains,
 )
 
+TYPE_CHECKING = False  # type checkers read it as True; saves importing typing
 if TYPE_CHECKING:
     import numpy as np
 
@@ -115,7 +115,7 @@ class Quadratic:
             require_finite(getattr(self, name), f"coefficient {name}")
 
 
-InequalityProblem = Union[Linear, LinearSystem, Fractional, Quadratic]
+InequalityProblem = Linear | LinearSystem | Fractional | Quadratic
 
 
 class SolutionKind(str, Enum):

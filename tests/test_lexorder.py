@@ -6,11 +6,7 @@ from hypothesis import strategies as st
 
 from lexineq.lexorder import (
     Ordering,
-    complex_add,
     complex_div,
-    complex_mul,
-    complex_square,
-    complex_sub,
     lex_cmp,
     lex_ge,
     lex_le,
@@ -106,18 +102,8 @@ class TestPolar:
 
 
 class TestArithmetic:
-    def test_square_of_one_plus_i(self):
-        assert complex_square(1 + 1j) == 2j
-
     def test_reciprocal_of_i(self):
         assert complex_div(1 + 0j, 1j) == -1j
-
-    def test_subtraction_identity(self):
-        assert complex_sub(2 + 0j, 2 + 0j) == 0
-
-    def test_add_mul(self):
-        assert complex_add(1 + 2j, 3 - 1j) == 4 + 1j
-        assert complex_mul(1 + 1j, 1 + 1j) == 2j
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -296,7 +297,12 @@ class TestChainLimit:
     def test_chain_at_limit_parses(self, op):
         src = parse(_chain(op, HEIGHT))
         eval_expr(src.lhs, 0.5 + 0.25j)
-        to_text(src.lhs)
+        # a left-deep chain prints without parentheses, and re-parses; the
+        # trees are compared by printing, since == on trees this deep
+        # exceeds the recursion limit
+        printed = source_to_text(src)
+        assert printed == f" {op} ".join(["Z"] * HEIGHT) + " >= 1.0"
+        assert source_to_text(parse(printed)) == printed
 
     @pytest.mark.parametrize("text", [
         _chain("+", HEIGHT),
@@ -306,7 +312,11 @@ class TestChainLimit:
     ], ids=["sum-chain", "nested-chains"])
     def test_deepest_trees_solve(self, capsys, text):
         assert cli.main(["solve", text]) == 0
-        assert capsys.readouterr().err == ""
+        out, err = capsys.readouterr()
+        assert err == ""
+        normalized = json.loads(out)["normalized_input"]
+        assert normalized == source_to_text(parse(text))
+        assert source_to_text(parse(normalized)) == normalized
 
     @pytest.mark.parametrize("op", ["+", "-", "*", "/"])
     def test_one_past_limit_is_parse_error_at_operator(self, op):
@@ -395,6 +405,13 @@ class TestPrinting:
         "-Z^2 >= (-3)",
         "(1.5-0.25i)*(Z + 2) >= Z/4",
         "-(Z + 1) >= -2i",
+        # a power or a negation takes Z, a literal or a negation bare: -Z^2
+        # is (-Z)^2, so -(Z^2) keeps its parentheses
+        "-(Z^2) >= 0",
+        "(Z^2)^3 >= 0",
+        "--Z >= 0",
+        "2*(Z^2) >= 0",
+        "(2*Z)^2 >= 0",
     ]
 
     @pytest.mark.parametrize("text", cases)

@@ -1,11 +1,13 @@
 """Start-up cost: the scalar commands run without importing numpy, and no
-command imports ``dataclasses`` (or, for the scalar ones, ``inspect``).
+command imports ``dataclasses`` (or, for the scalar ones, ``inspect`` and
+``typing``).
 
 Each CLI case runs ``cli.main`` in a fresh interpreter, so modules loaded
 by earlier tests cannot hide an import.
 """
 
 import json
+import os
 import subprocess
 import sys
 
@@ -15,23 +17,30 @@ import lexineq
 from lexineq.laws import LAW_IDS
 
 # Modules too costly to import for a one-inequality call.  numpy itself
-# imports inspect, so the array commands can only be asked to skip
-# dataclasses.
-_WATCHED = ("numpy", "dataclasses", "inspect")
+# imports inspect and typing, so the array commands can only be asked to
+# skip dataclasses.
+_WATCHED = ("numpy", "dataclasses", "inspect", "typing")
 
 # Runs cli.main on the given arguments, then reports which watched modules
-# were loaded.
+# were loaded after the probe started: the interpreter's start-up may
+# already have imported some (typing, through a site-packages .pth file).
+# lexineq is imported from where this process found it, so that the scalar
+# commands can run with -S, which skips the site module altogether.
 _PROBE = (
     "import sys\n"
+    "before = set(sys.modules)\n"
+    f"sys.path.insert(0, {os.path.dirname(os.path.dirname(lexineq.__file__))!r})\n"
     "from lexineq import cli\n"
     "status = cli.main(sys.argv[1:])\n"
-    f"sys.stderr.write(' '.join(m for m in {_WATCHED!r} if m in sys.modules) + '\\n')\n"
+    f"loaded = [m for m in {_WATCHED!r} if m in sys.modules and m not in before]\n"
+    "sys.stderr.write(' '.join(loaded) + '\\n')\n"
     "sys.exit(status)\n"
 )
 
 
-def _run(*argv):
-    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv],
+def _run(*argv, site=False):
+    """Run the probe; with ``site``, as the array commands need to find numpy."""
+    proc = subprocess.run([sys.executable, *([] if site else ["-S"]), "-c", _PROBE, *argv],
                           capture_output=True, text=True, timeout=60)
     *messages, loaded = proc.stderr.splitlines()
     return proc.returncode, proc.stdout, messages, loaded.split()
@@ -63,7 +72,7 @@ class TestScalarCommandsSkipNumpy:
 
 class TestArrayCommandsStillWork:
     def test_solve_verify(self):
-        status, out, messages, loaded = _run("solve", "1/Z >= 1", "--verify")
+        status, out, messages, loaded = _run("solve", "1/Z >= 1", "--verify", site=True)
         assert (status, messages, loaded[0]) == (0, [], "numpy")
         assert "dataclasses" not in loaded
         report = json.loads(out)["verification"]
@@ -72,13 +81,13 @@ class TestArrayCommandsStillWork:
     def test_raster(self, tmp_path):
         path = tmp_path / "r.pgm"
         status, out, messages, loaded = _run("raster", "1/Z >= 1", "--res", "5,3",
-                                             "--out", str(path))
+                                             "--out", str(path), site=True)
         assert (status, out, messages, loaded[0]) == (0, "", [], "numpy")
         assert "dataclasses" not in loaded
         assert path.read_text().startswith("P2\n5 3\n2\n")
 
     def test_laws(self):
-        status, out, messages, loaded = _run("laws", "--samples", "100")
+        status, out, messages, loaded = _run("laws", "--samples", "100", site=True)
         assert (status, messages, loaded[0]) == (0, [], "numpy")
         assert "dataclasses" not in loaded
         assert [r["law_id"] for r in json.loads(out)] == list(LAW_IDS)
