@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from ._kernels import IN, KIND_INVERT, POLE
+from ._kernels import IN, POLE
 
 
 def cdiv(ar, ai, br, bi):
@@ -111,19 +111,3 @@ def margins(values, pole):
     if pole is not None:
         result[pole] = np.inf
     return result
-
-
-def pull_back(kinds, pa, pb, zr, zi):
-    """:func:`_kernels.pull_back` of every lane: ``(wr, wi, pole)``.
-
-    ``pole`` marks the lanes that hit an inversion's pole; it is None
-    when the chain has no inversion.
-    """
-    pole = np.zeros(zr.shape, dtype=bool) if KIND_INVERT in kinds else None
-
-    def invert(wr, wi):
-        pole[(wr == 0.0) & (wi == 0.0)] = True
-        return cdiv(1.0, 0.0, wr, wi)
-
-    wr, wi = _kernels.pull_back(kinds, pa, pb, zr, zi, invert)
-    return wr, wi, pole

@@ -2,9 +2,10 @@
 
 All membership decisions bottom out in the helpers below.  Those that
 do only ``+ - * /`` and ``| &`` (``unrotate``, the Smith branches
-``cdiv_wide``/``cdiv_tall``, ``csq``, ``at_least``, the ``*_value``
-functions and ``pull_back``) run unchanged on Python floats and on
-float64 arrays.  A raster decides most lanes on the real part alone:
+``cdiv_wide``/``cdiv_tall``, ``csq``, ``at_least`` and the ``*_value``
+functions) run unchanged on Python floats and on float64 arrays, and so
+does ``region.pull_back``, the walk through a region's transforms that
+calls them.  A raster decides most lanes on the real part alone:
 ``linear_value`` and ``quadratic_value`` are built from ``linear_real``
 and ``quadratic_real``, and ``fractional_real`` shares
 ``fraction_terms`` with ``fractional_value`` and divides with the real
@@ -13,10 +14,7 @@ them on floats; ``_grid`` calls the same functions on arrays and
 supplies only what arrays need: the Smith branch chosen with
 ``np.where`` and pole lanes kept in a mask.  One expression tree per
 operation makes the two paths bit-identical, which
-``tests/test_grid_equivalence.py`` asserts.
-
-Encoded chains (``region._encode``) are tuples of Python ints (kind
-codes) and Python floats (parameters), so this module and the scalar
+``tests/test_grid_equivalence.py`` asserts.  This module and the scalar
 API run without numpy.
 """
 
@@ -26,13 +24,6 @@ from __future__ import annotations
 OUT = 0
 POLE = 1
 IN = 2
-
-# Transform kind codes for encoded chains.
-KIND_ROTATE = 0
-KIND_SCALE = 1
-KIND_TRANSLATE = 2
-KIND_INVERT = 3
-KIND_SQRT = 4
 
 
 def unrotate(wr, wi, c, s):
@@ -83,60 +74,6 @@ def at_least(wr, wi, a1, a2):
     {re = a1, im >= a2}: the base half-plane of every region.
     """
     return (wr > a1) | ((wr == a1) & (wi >= a2))
-
-
-def pull_back(kinds, pa, pb, wr, wi, invert):
-    """Walk a transform chain outermost-first, pulling the probe back.
-
-    Each step replaces the probe by the preimage that the corresponding
-    set transform demands: rotation divides out the phase, dilation
-    divides the factor, translation subtracts the offset, inversion
-    takes the reciprocal, radication squares.  ``invert(wr, wi)`` is the
-    reciprocal; it also owns the pole at 0, which the scalar path raises
-    and the grid path records in a mask.
-    """
-    for k in range(len(kinds) - 1, -1, -1):
-        kind = kinds[k]
-        if kind == KIND_ROTATE:
-            wr, wi = unrotate(wr, wi, pa[k], pb[k])
-        elif kind == KIND_SCALE:
-            wr = wr / pa[k]
-            wi = wi / pa[k]
-        elif kind == KIND_TRANSLATE:
-            wr = wr - pa[k]
-            wi = wi - pb[k]
-        elif kind == KIND_INVERT:
-            wr, wi = invert(wr, wi)
-        else:
-            wr, wi = csq(wr, wi)
-    return wr, wi
-
-
-class _Pole(Exception):
-    """A scalar pullback reached the pole of an inversion."""
-
-
-def _invert(wr, wi):
-    if wr == 0.0 and wi == 0.0:
-        raise _Pole
-    return cdiv(1.0, 0.0, wr, wi)
-
-
-def chain_pullback(kinds, pa, pb, wr, wi):
-    """:func:`pull_back` of one probe.  Returns (ok, wr, wi); ok = 0 marks a pole."""
-    try:
-        wr, wi = pull_back(kinds, pa, pb, wr, wi, _invert)
-    except _Pole:
-        return 0, 0.0, 0.0
-    return 1, wr, wi
-
-
-def chain_membership(a1, a2, kinds, pa, pb, wr, wi):
-    """Pull the probe back through the chain; the base half-plane decides."""
-    ok, wr, wi = chain_pullback(kinds, pa, pb, wr, wi)
-    if ok == 0:
-        return POLE
-    return IN if at_least(wr, wi, a1, a2) else OUT
 
 
 def tie_margin(dr, di):

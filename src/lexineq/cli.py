@@ -7,9 +7,11 @@ Commands::
     lexineq raster EXPR --window a,b,c,d --res nx,ny --out PATH [--format pgm|csv]
     lexineq laws [--seed N] [--samples N]
 
-Exit status: 0 on success; 1 on parse/classification errors and on an
-output file that cannot be written; 2 when --verify finds a mismatch or
-asserts no probe at all (every non-pole probe within eps of the boundary).
+Exit status: 0 on success; 1 on parse/classification errors, on an
+output file that cannot be written and when laws are not as expected;
+2 when --verify finds a mismatch or asserts no probe at all (every
+non-pole probe within eps of the boundary), and on a malformed command
+line (argparse's usage error).
 All outputs are deterministic for fixed inputs and seed: dictionaries
 are emitted in fixed order and floats as their shortest round-trippable
 decimals.
@@ -271,12 +273,18 @@ def _cmd_raster(args) -> int:
 
 def _cmd_laws(args) -> int:
     # laws samples with numpy; importing it here keeps solve and check free of numpy
-    from .laws import all_as_expected, check_all
+    from .laws import as_expected, check_all
 
     reports = check_all(samples=args.samples, seed=args.seed)
     payload = json.dumps([law_report_to_json(r) for r in reports], indent=2) + "\n"
     sys.stdout.write(payload)
-    return 0 if all_as_expected(reports) else 1
+    unexpected = [r.law_id for r in reports if not as_expected(r)]
+    if unexpected:
+        sys.stderr.write(f"lexineq: laws not as expected at --seed {args.seed} --samples "
+                         f"{args.samples}: {', '.join(unexpected)} (a law must pass; a "
+                         f"non-law must yield a counterexample that rechecks)\n")
+        return 1
+    return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:

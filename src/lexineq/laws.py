@@ -31,7 +31,7 @@ from .errors import UnknownLawError
 from .lexorder import require_finite
 
 __all__ = ["LawReport", "LAW_IDS", "MAX_SAMPLES", "check_law", "check_all", "recheck", "is_law",
-           "all_as_expected"]
+           "as_expected", "all_as_expected"]
 
 # Largest sample count per law, checked before anything is allocated.  A
 # law holds up to about twenty float64 arrays of length n at once:
@@ -209,15 +209,13 @@ def check_all(samples: int = 10_000, seed: int = 0) -> list[LawReport]:
     return [check_law(law_id, samples, seed) for law_id in LAW_IDS]
 
 
+def as_expected(report: LawReport) -> bool:
+    """True when a genuine law passed, or a non-law produced a verified witness."""
+    if is_law(report.law_id):
+        return report.outcome == "pass"
+    return report.outcome == "counterexample" and not recheck(report.law_id, report.witness)
+
+
 def all_as_expected(reports: list[LawReport]) -> bool:
-    """True when genuine laws passed and non-laws produced verified witnesses."""
-    for rep in reports:
-        if is_law(rep.law_id):
-            if rep.outcome != "pass":
-                return False
-        else:
-            if rep.outcome != "counterexample":
-                return False
-            if recheck(rep.law_id, rep.witness):
-                return False
-    return True
+    """True when every report is :func:`as_expected`."""
+    return all(as_expected(rep) for rep in reports)

@@ -15,19 +15,19 @@ array longer than a tile, whatever the grid.
 A raster needs only that decision per cell, so :func:`sample_raster`
 reduces the computed values to membership codes alone, on three levels:
 
-1. A linear, system or quadratic raster settles whole blocks of cells
-   from bounds of the computed real parts (:func:`_block_codes`).
-   Every round-to-nearest ``+ - *`` is monotone in each operand, and
-   each input of the real part's expression tree enters it once: the
+1. A raster of an inequality settles whole blocks of cells from bounds
+   of the computed real parts (:func:`_block_codes`).  Every
+   round-to-nearest ``+ - *`` is monotone in each operand, and each
+   input of the real part's expression tree enters it once: the
    coordinates of z, and for a quadratic also the two parts of z*z,
    whose ranges over the block are bounded first.  So the tree's
    extremes over a block lie at two corners, picked by the signs of the
-   coefficients.  A block is in when every constraint's bounds are
-   finite and > 0, and out when some constraint's are finite and < 0;
-   those are the codes its cells would get lane by lane, bit for bit.
-2. The cells of the other blocks, and every cell of a fraction, are
-   decided on the real parts of their values, as the dictionary order
-   does.
+   coefficients; a fraction's two trees bound its quotient.  A block is
+   in when every constraint's bounds are finite and > 0, and out when
+   some constraint's are finite and < 0: the codes its cells would get
+   lane by lane, bit for bit.
+2. The cells of the other blocks are decided on the real parts of
+   their values, as the dictionary order does.
 3. The imaginary parts and the pole mask are computed only on the few
    cells where a real part is 0 or nan (every pole is one).
 
@@ -108,8 +108,8 @@ MAX_CELLS = 1 << 24
 # 32768 points fault on every tile and were slower for both.
 _TILE_POINTS = 16384
 
-# Side, in grid points, of the square blocks that a linear, system or
-# quadratic raster settles whole from bounds (:func:`_block_codes`)
+# Side, in grid points, of the square blocks that a raster of an
+# inequality settles whole from bounds (:func:`_block_codes`)
 # before it evaluates any lane; the code of a block they leave open.
 # Measured on the 1001 x 1001 rasters of the benchmark corpus: 12 was no
 # faster, 8 was slower (four times the blocks to bound), and so was 32
@@ -471,12 +471,12 @@ def sample_raster(source: Region | InequalityProblem, grid: GridSpec) -> Bitmap:
 
     Only membership codes are computed, straight into the raster; the
     margins :func:`problem_grid` also reports are not.  The grid is
-    walked piece by piece (:func:`_pieces`).  A linear, system or
-    quadratic raster first settles whole blocks of a piece from exact
-    bounds of the real parts (:func:`_fill_blocks`); every other piece
-    is filled whole rows at a time.  Its lanes are decided on the real
-    parts of their values; the full values of :func:`problem_grid`
-    decide only the lanes where one is 0 or nan.
+    walked piece by piece (:func:`_pieces`).  A raster of an inequality
+    first settles whole blocks of a piece from exact bounds of the real
+    parts (:func:`_fill_blocks`); every other piece is filled whole rows
+    at a time.  Its lanes are decided on the real parts of their values;
+    the full values of :func:`problem_grid` decide only the lanes where
+    one is 0 or nan.
     """
     import numpy as np
 
@@ -509,7 +509,7 @@ def sample_raster(source: Region | InequalityProblem, grid: GridSpec) -> Bitmap:
     # a piece has at most _TILE_POINTS rows, and at most _TILE_POINTS blocks
     blocks_across = -(-min(nx, _TILE_POINTS) // _BLOCK)
     rows = min(ny, _TILE_POINTS, _TILE_POINTS // blocks_across * _BLOCK)
-    bounded = isinstance(source, Linear | LinearSystem | Quadratic)
+    bounded = isinstance(source, InequalityProblem)
     cells = np.empty(nx * ny, dtype=np.uint8)
     view = cells.reshape(ny, nx)
     for r0, c0, xs, ys in _pieces(grid, rows):
@@ -604,7 +604,7 @@ def _block_codes(problem: InequalityProblem, xlo, xhi, ylo, yhi) -> np.ndarray:
     import numpy as np
 
     inside = outside = None
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for lo, hi in _real_bounds(problem, xlo, xhi, ylo, yhi):
             positive = (lo > 0.0) & (hi < np.inf)
             negative = (hi < 0.0) & (lo > -np.inf)
@@ -631,27 +631,26 @@ def _real_bounds(problem: InequalityProblem, xlo, xhi, ylo, yhi) -> list:
     Rounding to nearest is monotone in each operand, so the tree is
     monotone in each input, in the direction of the sign of the
     coefficient it is multiplied by; its least and greatest values over a
-    box of inputs are at the two corners that :func:`_extremes` picks.
-    The square's inputs are bounded over a block first: ``fl(x*x)`` is
-    monotone in ``|x|``, and ``fl(x*y)`` in each of x and y, so it is
-    extreme at the block's corners.  Should any value at any corner
-    overflow, the sum it enters also does at one of the two corners
-    (or is nan there), so finite bounds rule out inf and nan in between.
+    box of inputs are at the two corners that :func:`_extremes` picks,
+    once the square's inputs are bounded over the block.  Should any
+    value at any corner overflow, the sum it enters also does at one of
+    the two corners (or is nan there), so finite bounds rule out inf and
+    nan in between.
     """
     import numpy as np
 
     if isinstance(problem, Quadratic):
         (ar, ai), (br, bi), cr = _parts(problem.a), _parts(problem.b), problem.c.real
-        xx_lo, xx_hi = _square_range(xlo, xhi)
-        yy_lo, yy_hi = _square_range(ylo, yhi)
-        p = (xlo * ylo, xlo * yhi, xhi * ylo, xhi * yhi)
-        p_lo = np.minimum(np.minimum(p[0], p[1]), np.minimum(p[2], p[3]))
-        p_hi = np.maximum(np.maximum(p[0], p[1]), np.maximum(p[2], p[3]))
+        xx_lo, xx_hi = (v * v for v in _abs_range(xlo, xhi))  # fl(v*v) is monotone in |v|
+        yy_lo, yy_hi = (v * v for v in _abs_range(ylo, yhi))
+        p_lo, p_hi = _corner_range(np.multiply, (xlo, xhi), (ylo, yhi))
         corners = zip(_extremes(ar, xx_lo - yy_hi, xx_hi - yy_lo),
                       _extremes(-ai, p_lo + p_lo, p_hi + p_hi),
                       _extremes(br, xlo, xhi), _extremes(-bi, ylo, yhi))
         return [tuple(_kernels.quadratic_real(ar, ai, br, bi, cr, zr, zi, sr, si)
                       for sr, si, zr, zi in corners)]
+    if isinstance(problem, Fractional):
+        return [_fraction_bounds(problem, xlo, xhi, ylo, yhi)]
     pairs = [(problem.a, problem.b)]
     if isinstance(problem, LinearSystem):
         pairs.append((problem.c, problem.d))
@@ -660,10 +659,53 @@ def _real_bounds(problem: InequalityProblem, xlo, xhi, ylo, yhi) -> list:
             for a, b in pairs]
 
 
-def _square_range(lo, hi) -> tuple:
-    """Bounds of ``fl(v*v)`` for v in ``[lo, hi]``: 0 below when the range holds 0."""
+def _fraction_bounds(problem: Fractional, xlo, xhi, ylo, yhi) -> tuple:
+    """``(lo, hi)`` of the computed ``_kernels.fractional_real`` over the blocks.
+
+    ``_kernels.fraction_terms`` are trees like a linear real part.  Their
+    quotient is bounded for each branch of ``_grid.cdiv_real`` that a
+    lane of a block may take: wide where |wr| >= |wi|, else swapped.
+    """
     import numpy as np
 
-    sq_lo, sq_hi = lo * lo, hi * hi
-    straddles = (lo <= 0.0) & (hi >= 0.0)
-    return np.where(straddles, 0.0, np.minimum(sq_lo, sq_hi)), np.maximum(sq_lo, sq_hi)
+    ar, ai, br, bi, cr, ci = _parts(problem.a, problem.b, problem.c)
+    nr = [ar * x - ai * y + br for x, y in zip(_extremes(ar, xlo, xhi), _extremes(-ai, ylo, yhi))]
+    ni = [ar * y + ai * x + bi for x, y in zip(_extremes(ai, xlo, xhi), _extremes(ar, ylo, yhi))]
+    wr, wi = (xlo + cr, xhi + cr), (ylo + ci, yhi + ci)
+    (wr_least, wr_most), (wi_least, wi_most) = _abs_range(*wr), _abs_range(*wi)
+    wide, tall = _wide_real_range(nr, ni, wr, wi), _wide_real_range(ni, nr, wi, wr)
+    # a branch that no lane of a block takes leaves the bounds alone
+    may_wide, may_tall = wr_most >= wi_least, wr_least < wi_most
+    lo = np.minimum(np.where(may_wide, wide[0], np.inf), np.where(may_tall, tall[0], np.inf))
+    hi = np.maximum(np.where(may_wide, wide[1], -np.inf), np.where(may_tall, tall[1], -np.inf))
+    return lo - problem.d.real, hi - problem.d.real
+
+
+def _wide_real_range(ar, ai, br, bi) -> tuple:
+    """Bounds of ``_kernels.cdiv_wide_real`` over ranges ``(lo, hi)`` of its
+    operands, taken as independent; nan where a divisor's range holds 0."""
+    import numpy as np
+
+    t = _corner_range(np.divide, bi, br)
+    num = [a + p for a, p in zip(ar, _corner_range(np.multiply, ai, t))]
+    den = [b + p for b, p in zip(br, _corner_range(np.multiply, bi, t))]
+    valid = ((br[0] > 0.0) | (br[1] < 0.0)) & ((den[0] > 0.0) | (den[1] < 0.0))
+    return tuple(np.where(valid, q, np.nan) for q in _corner_range(np.divide, num, den))
+
+
+def _corner_range(op, a, b) -> tuple:
+    """Least and greatest ``op(x, y)`` for x and y in the ranges ``a`` and
+    ``b``: a rounded ``*``, or ``/`` by a range without 0, is monotone in
+    each operand, so they are among its four corner values (nan if one is)."""
+    import numpy as np
+
+    v = [op(x, y) for x in a for y in b]
+    return np.minimum.reduce(v), np.maximum.reduce(v)
+
+
+def _abs_range(lo, hi) -> tuple:
+    """Bounds of ``|v|`` for v in ``[lo, hi]``."""
+    import numpy as np
+
+    most = np.maximum(abs(lo), abs(hi))
+    return np.where((lo <= 0.0) & (hi >= 0.0), 0.0, np.minimum(abs(lo), abs(hi))), most

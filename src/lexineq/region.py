@@ -12,13 +12,12 @@ as independent cross-checks in the tests.
 
 from __future__ import annotations
 
-import functools
 import math
 from enum import IntEnum
 
 from . import _kernels
 from ._record import record
-from .errors import NonPositiveScaleError
+from .errors import NonPositiveScaleError, PoleError
 from .lexorder import require_finite
 
 TYPE_CHECKING = False  # type checkers read it as True; saves importing typing
@@ -34,6 +33,7 @@ __all__ = [
     "Sqrt",
     "Transform",
     "Region",
+    "pull_back",
     "contains",
     "membership_grid",
     "apply_transform",
@@ -113,10 +113,6 @@ class Sqrt:
 
 Transform = Rotate | Scale | Translate | Invert | Sqrt
 
-_KIND_CODE = {Rotate: _kernels.KIND_ROTATE, Scale: _kernels.KIND_SCALE,
-              Translate: _kernels.KIND_TRANSLATE, Invert: _kernels.KIND_INVERT,
-              Sqrt: _kernels.KIND_SQRT}
-
 
 @record
 class Region:
@@ -138,39 +134,72 @@ class Region:
                 raise TypeError(f"not a transform: {t!r}")
 
 
-@functools.lru_cache(maxsize=512)
-def _encode(region: Region):
-    """Pack a region into the flat tuples the kernels consume.
+def pull_back(region: Region, wr, wi, invert):
+    """Walk the region's chain outermost-first, pulling the probe back.
 
-    Returns ``(a1, a2, kinds, pa, pb)``: the base anchor's coordinates,
-    then one transform kind code (a Python int) and two parameters
-    (Python floats) per step.  Plain tuples keep the scalar path free
-    of numpy; the grid path broadcasts the same floats over its arrays.
-    Rotation angles are expanded to (cos, sin) once here, so every
-    evaluation path sees the same trigonometric values.
+    Each step replaces the probe by the preimage that the corresponding
+    set transform demands: rotation divides out the phase, dilation
+    divides the factor, translation subtracts the offset, inversion
+    takes the reciprocal, radication squares.  Only ``+ - * /`` touch
+    the probe, so the walk runs unchanged on Python floats and on
+    float64 arrays.  ``invert(wr, wi)`` is the reciprocal; it also owns
+    the pole at 0, which the scalar path raises and the grid path
+    records in a mask.
     """
-    kinds = []
-    pa = []
-    pb = []
-    for t in region.transforms:
-        a = b = 0.0
+    for t in reversed(region.transforms):
         if isinstance(t, Rotate):
-            a, b = math.cos(t.theta), math.sin(t.theta)
+            wr, wi = _kernels.unrotate(wr, wi, math.cos(t.theta), math.sin(t.theta))
         elif isinstance(t, Scale):
-            a = float(t.r)
+            wr = wr / t.r
+            wi = wi / t.r
         elif isinstance(t, Translate):
-            a, b = float(t.offset.real), float(t.offset.imag)
-        kinds.append(_KIND_CODE[type(t)])
-        pa.append(a)
-        pb.append(b)
-    return region.base.real, region.base.imag, tuple(kinds), tuple(pa), tuple(pb)
+            wr = wr - t.offset.real
+            wi = wi - t.offset.imag
+        elif isinstance(t, Invert):
+            wr, wi = invert(wr, wi)
+        else:
+            wr, wi = _kernels.csq(wr, wi)
+    return wr, wi
+
+
+def _invert_point(wr, wi):
+    if wr == 0.0 and wi == 0.0:
+        raise PoleError("pullback reached the pole of an inversion")
+    return _kernels.cdiv(1.0, 0.0, wr, wi)
 
 
 def contains(region: Region, w: complex) -> Membership:
     """Decide membership of a single probe point by pullback."""
     require_finite(w, "probe point")
-    a1, a2, kinds, pa, pb = _encode(region)
-    return Membership(_kernels.chain_membership(a1, a2, kinds, pa, pb, w.real, w.imag))
+    try:
+        wr, wi = pull_back(region, w.real, w.imag, _invert_point)
+    except PoleError:
+        return Membership.POLE
+    if _kernels.at_least(wr, wi, region.base.real, region.base.imag):
+        return Membership.IN
+    return Membership.OUT
+
+
+def _pull_back_lanes(region: Region, zr: np.ndarray, zi: np.ndarray):
+    """:func:`pull_back` of every lane: ``(wr, wi, pole)``.
+
+    ``pole`` marks the lanes that hit an inversion's pole; it is None
+    when the chain has no inversion.
+    """
+    import numpy as np
+
+    from . import _grid
+
+    pole = None
+    if any(isinstance(t, Invert) for t in region.transforms):
+        pole = np.zeros(zr.shape, dtype=bool)
+
+    def invert(wr, wi):
+        pole[(wr == 0.0) & (wi == 0.0)] = True
+        return _grid.cdiv(1.0, 0.0, wr, wi)
+
+    wr, wi = pull_back(region, zr, zi, invert)
+    return wr, wi, pole
 
 
 def membership_grid(region: Region, zr: np.ndarray, zi: np.ndarray) -> np.ndarray:
@@ -183,11 +212,10 @@ def membership_grid(region: Region, zr: np.ndarray, zi: np.ndarray) -> np.ndarra
 
     from . import _grid
 
-    a1, a2, kinds, pa, pb = _encode(region)
     zr = np.ascontiguousarray(zr, dtype=np.float64)
     zi = np.ascontiguousarray(zi, dtype=np.float64)
-    wr, wi, pole = _grid.pull_back(kinds, pa, pb, zr, zi)
-    return _grid.codes(_kernels.at_least(wr, wi, a1, a2), pole)
+    wr, wi, pole = _pull_back_lanes(region, zr, zi)
+    return _grid.codes(_kernels.at_least(wr, wi, region.base.real, region.base.imag), pole)
 
 
 def apply_transform(region: Region, transform: Transform) -> Region:

@@ -30,7 +30,7 @@ from .region import (
     Rotate,
     Sqrt,
     Translate,
-    _encode,
+    _pull_back_lanes,
     apply_transform,
     contains,
 )
@@ -219,7 +219,7 @@ def solve_fractional(a: complex, b: complex, c: complex, d: complex,
     """
     for name, v in (("a", a), ("b", b), ("c", c), ("d", d)):
         require_finite(v, f"coefficient {name}")
-    w = b - a * c
+    w = _in_float_range(b - a * c, "B - A*C")
     pole = complex(-c.real + 0.0, -c.imag + 0.0)  # normalize -0.0 away
     if w == 0:
         if strict:
@@ -361,15 +361,13 @@ def _solution_lanes(solution: SolutionSet, zr, zi):
     """
     import numpy as np
 
-    from . import _grid
-
     zr = np.ascontiguousarray(zr, dtype=np.float64)
     zi = np.ascontiguousarray(zi, dtype=np.float64)
     inside = pole = None
     pulled = []
     for region in solution.regions:
-        a1, a2, kinds, pa, pb = _encode(region)
-        wr, wi, region_pole = _grid.pull_back(kinds, pa, pb, zr, zi)
+        a1, a2 = region.base.real, region.base.imag
+        wr, wi, region_pole = _pull_back_lanes(region, zr, zi)
         base = _kernels.at_least(wr, wi, a1, a2)
         inside = base if inside is None else np.logical_and(inside, base, out=inside)
         pole = _either(pole, region_pole)

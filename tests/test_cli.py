@@ -86,6 +86,13 @@ class TestSolve:
         assert len(lines) == 1 and lines[0].startswith("lexineq: error:")
         assert "float range" in lines[0]
 
+    def test_fraction_numerator_overflow_refused(self, capsys):
+        # B - A*C = 1e308 + 1e308 is beyond the float range: the refusal names it
+        status, out, err = run(capsys, "solve", "(Z+(1e308))/(Z-(1e308)) >= 0")
+        assert status == 1 and out == ""
+        assert err == ("lexineq: error: computing the solution B - A*C overflows the "
+                       "float range (about 1.8e308)\n")
+
     @pytest.mark.parametrize("flags", [(), ("--verify",)], ids=["plain", "verify"])
     def test_threshold_underflow_refused(self, capsys, flags):
         # 4|A|A underflows to 0 for |A| = 1e-170: refused as out of the float
@@ -238,8 +245,8 @@ class TestRaster:
 
 class TestLaws:
     def test_laws_json_and_exit(self, capsys):
-        status, out, _ = run(capsys, "laws", "--seed", "42", "--samples", "2000")
-        assert status == 0
+        status, out, err = run(capsys, "laws", "--seed", "42", "--samples", "2000")
+        assert status == 0 and err == ""
         reports = json.loads(out)
         assert len(reports) == 10
         by_id = {r["law_id"]: r for r in reports}
@@ -247,6 +254,15 @@ class TestLaws:
         assert by_id["ComplexScalarMonotonicity"]["outcome"] == "counterexample"
         assert by_id["ComplexScalarMonotonicity"]["is_law"] is False
         assert by_id["ComplexScalarMonotonicity"]["witness"] is not None
+
+    def test_laws_not_as_expected_message(self, capsys):
+        # one sample draws no counterexample to the non-law: exit 1 names it
+        status, out, err = run(capsys, "laws", "--samples", "1")
+        assert status == 1
+        assert len(json.loads(out)) == 10
+        assert err == ("lexineq: laws not as expected at --seed 0 --samples 1: "
+                       "ComplexScalarMonotonicity (a law must pass; a non-law must yield "
+                       "a counterexample that rechecks)\n")
 
     @pytest.mark.parametrize("seed", ["-1", "-42"])
     def test_negative_seed_refused(self, capsys, seed):
@@ -265,15 +281,35 @@ class TestEntryPoints:
         assert out.returncode == 0
         assert "solve" in out.stdout and "laws" in out.stdout
 
-    def test_console_script_if_installed(self):
+    def test_console_script(self):
+        """The ``[project.scripts]`` entry runs ``check``: the installed
+        script when it is on PATH, else the ``module:attr`` that
+        pyproject.toml names, called as the script would call it."""
+        import os
         import shutil
         import subprocess
+        import sys
+
+        import lexineq
 
         exe = shutil.which("lexineq")
-        if exe is None:
-            pytest.skip("console script not on PATH")
-        out = subprocess.run([exe, "check", "Z >= 0", "--at", "1"],
-                             capture_output=True, text=True)
+        if exe is not None:
+            cmd = [exe]
+        else:
+            try:
+                import tomllib
+            except ModuleNotFoundError:  # Python 3.10
+                pytest.skip("console script not on PATH and no tomllib to read pyproject.toml")
+            root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+            with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+                target = tomllib.load(fh)["project"]["scripts"]["lexineq"]
+            module, attr = target.split(":")
+            src = os.path.dirname(os.path.dirname(lexineq.__file__))
+            cmd = [sys.executable, "-c",
+                   f"import sys; sys.path.insert(0, {src!r}); "
+                   f"from {module} import {attr}; sys.exit({attr}())"]
+        out = subprocess.run([*cmd, "check", "Z >= 0", "--at", "1"],
+                             capture_output=True, text=True, timeout=60)
         assert out.returncode == 0
         assert out.stdout.strip() == "in"
 

@@ -33,9 +33,10 @@ from lexineq.region import (
     Scale,
     Sqrt,
     Translate,
-    _encode,
+    _invert_point,
     contains,
     membership_grid,
+    pull_back,
 )
 from lexineq.solver import (
     Fractional,
@@ -63,9 +64,11 @@ PROBLEMS = {
 
 
 def _random_region(rng):
+    # the int-valued draws check that the walk uses each field as given,
+    # int or float, without a conversion of its own
     transforms = []
     for _ in range(int(rng.integers(0, 5))):
-        k = int(rng.integers(0, 5))
+        k = int(rng.integers(0, 8))
         if k == 0:
             transforms.append(Rotate(float(rng.uniform(-7, 7))))
         elif k == 1:
@@ -74,8 +77,14 @@ def _random_region(rng):
             transforms.append(Translate(complex(rng.uniform(-2, 2), rng.uniform(-2, 2))))
         elif k == 3:
             transforms.append(Invert())
-        else:
+        elif k == 4:
             transforms.append(Sqrt())
+        elif k == 5:
+            transforms.append(Rotate(int(rng.integers(-3, 4))))
+        elif k == 6:
+            transforms.append(Scale(int(rng.integers(1, 5))))
+        else:
+            transforms.append(Translate(int(rng.integers(-2, 3))))
     return Region(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)), tuple(transforms))
 
 
@@ -92,9 +101,11 @@ def _points(zr, zi):
 
 def _region_margin(region, z):
     """Scalar reference for one region's margin at z: inf at a pole."""
-    a1, a2, kinds, pa, pb = _encode(region)
-    ok, wr, wi = _kernels.chain_pullback(kinds, pa, pb, z.real, z.imag)
-    return _kernels.tie_margin(wr - a1, wi - a2) if ok else math.inf
+    try:
+        wr, wi = pull_back(region, z.real, z.imag, _invert_point)
+    except PoleError:
+        return math.inf
+    return _kernels.tie_margin(wr - region.base.real, wi - region.base.imag)
 
 
 def _solution_margin(solution, z):
@@ -327,6 +338,8 @@ def _wide_problem(rng, kind):
         return Linear(c[0], c[1])
     if kind == "system":
         return LinearSystem(*c)
+    if kind == "fractional":
+        return Fractional(*c)
     return Quadratic(c[0], c[1], c[2])
 
 
@@ -341,8 +354,8 @@ BLOCK_GRIDS = {
 
 
 class TestBlockDecision:
-    """Linear, system and quadratic rasters settle whole blocks from bounds
-    of the computed real parts; every cell must keep the code that
+    """Rasters of every class settle whole blocks from bounds of the
+    computed real parts; every cell must keep the code that
     :func:`problem_grid` gives it, whatever the coefficients and window."""
 
     def test_grids_cover_the_block_cases(self):
@@ -351,7 +364,7 @@ class TestBlockDecision:
             assert grid.nx % b and grid.ny % b
         assert BLOCK_GRIDS["row-longer-than-a-tile"].nx > oracle._TILE_POINTS
 
-    @pytest.mark.parametrize("kind", ["linear", "system", "quadratic"])
+    @pytest.mark.parametrize("kind", ["linear", "system", "quadratic", "fractional"])
     @pytest.mark.parametrize("grid_name", BLOCK_GRIDS)
     def test_random_wide_coefficients(self, kind, grid_name):
         grid = BLOCK_GRIDS[grid_name]
@@ -373,7 +386,8 @@ class TestBlockDecision:
         seen = set()
         for _ in range(30):
             c = [complex(*(rng.integers(-24, 25, 2) / 8.0)) for _ in range(4)]
-            for problem in (Linear(c[0], c[1]), LinearSystem(*c), Quadratic(c[0], c[1], c[2])):
+            for problem in (Linear(c[0], c[1]), LinearSystem(*c), Quadratic(c[0], c[1], c[2]),
+                            Fractional(*c)):
                 seen.update(np.unique(_block_codes(problem, grid)).tolist())
                 cells = sample_raster(problem, grid).cells
                 assert cells.tobytes() == problem_grid(problem, *grid.points())[0].tobytes()
@@ -383,6 +397,8 @@ class TestBlockDecision:
         (Linear(1 + 0j, -10 + 0j), Membership.IN),                  # Re z + 10 > 0
         (Quadratic(1e-3 + 0j, 0j, 5 + 0j), Membership.IN),          # 1e-3 Re z^2 + 5 > 0
         (LinearSystem(1 + 0j, 0j, 0j, 1 + 0j), Membership.OUT),     # 0*Z - 1 < 0
+        (Fractional(0j, 1 + 0j, 10 + 0j, -1 + 0j), Membership.IN),  # 1/(z + 10) + 1 > 0
+        (Fractional(1j, 0j, 5 + 0j, 2 + 0j), Membership.OUT),       # Re(i z/(z + 5)) - 2 < 0
     ])
     def test_every_block_decided(self, problem, code):
         grid = BLOCK_GRIDS["straddles-both-axes"]
@@ -396,6 +412,8 @@ class TestBlockDecision:
         (Linear(1.5e308 + 1.5e308j, 1e308 + 0j), "avoids-the-axes"),
         # Re z^2 overflows to inf - inf at every block's far corner
         (Quadratic(1 + 0j, 0j, -1 + 0j), "1e160"),
+        # the numerator's real part is inf - inf, as in the linear case
+        (Fractional(1.5e308 + 1.5e308j, 0j, 0j, 0j), "avoids-the-axes"),
     ])
     def test_no_block_decided(self, problem, grid_name):
         grid = BLOCK_GRIDS[grid_name]
