@@ -19,6 +19,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import IN, POLE
+from ._record import record
 
 
 def cdiv(ar, ai, br, bi):
@@ -50,6 +51,76 @@ def cdiv_real(ar, ai, br, bi):
     with np.errstate(divide="ignore", invalid="ignore"):
         return _kernels.cdiv_wide_real(np.where(wide, ar, ai), np.where(wide, ai, ar),
                                        np.where(wide, br, bi), np.where(wide, bi, br))
+
+
+@record(eq=False)
+class Box:
+    """Bounds ``[lo, hi]`` of a computed float64 value: arrays, one range per block.
+
+    ``_kernels``' own trees run on Boxes and floats and bound every lane
+    of a block: each rounded ``+ - * /`` is monotone in each operand, so
+    its result lies between its values at the ends of its operands'
+    ranges.  A quotient by a range that holds 0 is nan, and ``w * w`` of
+    one Box is a square, bounded from the range of ``|w|``.  A nan lane
+    (inf - inf, 0 * inf, inf / inf) has an operand at an infinity, so
+    its bounds come out infinite or nan: only finite bounds bound it.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def __add__(self, other):
+        lo, hi = _ends(other)
+        return Box(self.lo + lo, self.hi + hi)
+
+    def __sub__(self, other):
+        lo, hi = _ends(other)
+        return Box(self.lo - hi, self.hi - lo)
+
+    def __mul__(self, other):
+        if other is self:
+            m = abs(self)  # fl(v*v) grows with |v|
+            return Box(m.lo * m.lo, m.hi * m.hi)
+        if isinstance(other, Box):
+            return _corners(np.multiply, self, other)
+        lo, hi = self.lo * other, self.hi * other
+        return Box(lo, hi) if other >= 0.0 else Box(hi, lo)  # ends in the sign's order
+
+    __rmul__ = __mul__  # IEEE multiplication is commutative, bit for bit
+
+    def __truediv__(self, other):
+        q = _corners(np.divide, self, other)
+        valid = (other.lo > 0.0) | (other.hi < 0.0)
+        return Box(np.where(valid, q.lo, np.nan), np.where(valid, q.hi, np.nan))
+
+    def __abs__(self):
+        least = np.minimum(abs(self.lo), abs(self.hi))
+        holds_0 = (self.lo <= 0.0) & (self.hi >= 0.0)
+        return Box(np.where(holds_0, 0.0, least), np.maximum(abs(self.lo), abs(self.hi)))
+
+
+def _ends(v):  # (lo, hi) of a Box, (v, v) of a float
+    return (v.lo, v.hi) if isinstance(v, Box) else (v, v)
+
+
+def _corners(op, a, b):
+    """The Box of ``op(x, y)`` for x in ``a`` and y in ``b``: the least and
+    greatest of its four corner values (nan if one is)."""
+    v = [op(x, y) for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
+    return Box(np.minimum(np.minimum(v[0], v[1]), np.minimum(v[2], v[3])),
+               np.maximum(np.maximum(v[0], v[1]), np.maximum(v[2], v[3])))
+
+
+def box_cdiv_real(ar, ai, br, bi):
+    """The Box of :func:`cdiv_real` over Boxes of its operands: the union
+    of its branches, each where some lane of the block may take it."""
+    mr, mi = abs(br), abs(bi)
+    wide = _kernels.cdiv_wide_real(ar, ai, br, bi)
+    tall = _kernels.cdiv_wide_real(ai, ar, bi, br)
+    may_wide, may_tall = mr.hi >= mi.lo, ~(mr.lo >= mi.hi)  # nan bounds take the tall one
+    lo = np.minimum(np.where(may_wide, wide.lo, np.inf), np.where(may_tall, tall.lo, np.inf))
+    hi = np.maximum(np.where(may_wide, wide.hi, -np.inf), np.where(may_tall, tall.hi, -np.inf))
+    return Box(lo, hi)
 
 
 def tie_margin(dr, di):

@@ -14,7 +14,9 @@ them on floats; ``_grid`` calls the same functions on arrays and
 supplies only what arrays need: the Smith branch chosen with
 ``np.where`` and pole lanes kept in a mask.  One expression tree per
 operation makes the two paths bit-identical, which
-``tests/test_grid_equivalence.py`` asserts.  This module and the scalar
+``tests/test_grid_equivalence.py`` asserts.  The real parts' trees also
+run on ``_grid.Box`` ranges, to bound a raster's blocks, so a change to
+a tree changes its bounds with it.  This module and the scalar
 API run without numpy.
 """
 
@@ -63,8 +65,9 @@ def cdiv(ar, ai, br, bi):
 
 
 def csq(wr, wi):
-    """w * w."""
-    return wr * wr - wi * wi, wr * wi + wi * wr
+    """w * w; 2*wr*wi as p + p, p = wr*wi, the same float as wr*wi + wi*wr."""
+    p = wr * wi
+    return wr * wr - wi * wi, p + p
 
 
 def at_least(wr, wi, a1, a2):

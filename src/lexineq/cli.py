@@ -74,8 +74,15 @@ def region_to_json(region: Region) -> dict:
     return {"base": complex_to_json(region.base), "transforms": transforms}
 
 
+def _complex_from_json(doc: dict, what: str) -> complex:
+    try:
+        return complex(doc["re"], doc["im"])
+    except OverflowError:  # an int that no float holds
+        raise ValueError(f"{what} lies outside the float range") from None
+
+
 def region_from_json(doc: dict) -> Region:
-    base = complex(doc["base"]["re"], doc["base"]["im"])
+    base = _complex_from_json(doc["base"], "base anchor")
     transforms: list = []
     for t in doc["transforms"]:
         kind = t["kind"]
@@ -84,7 +91,7 @@ def region_from_json(doc: dict) -> Region:
         elif kind == "scale":
             transforms.append(Scale(t["r"]))
         elif kind == "translate":
-            transforms.append(Translate(complex(t["re"], t["im"])))
+            transforms.append(Translate(_complex_from_json(t, "translation offset")))
         elif kind == "invert":
             transforms.append(Invert())
         elif kind == "sqrt":

@@ -16,16 +16,14 @@ A raster needs only that decision per cell, so :func:`sample_raster`
 reduces the computed values to membership codes alone, on three levels:
 
 1. A raster of an inequality settles whole blocks of cells from bounds
-   of the computed real parts (:func:`_block_codes`).  Every
-   round-to-nearest ``+ - *`` is monotone in each operand, and each
-   input of the real part's expression tree enters it once: the
-   coordinates of z, and for a quadratic also the two parts of z*z,
-   whose ranges over the block are bounded first.  So the tree's
-   extremes over a block lie at two corners, picked by the signs of the
-   coefficients; a fraction's two trees bound its quotient.  A block is
-   in when every constraint's bounds are finite and > 0, and out when
-   some constraint's are finite and < 0: the codes its cells would get
-   lane by lane, bit for bit.
+   of the computed real parts (:func:`_block_codes`): their own trees,
+   run by :func:`_constraint_reals` on ``_grid.Box`` ranges of the
+   block's coordinates.  Every rounded ``+ - * /`` is monotone in each
+   operand, so it is bounded by its values at its operands' ends; a
+   division only by a range without 0.  A block is in when every
+   constraint's bounds are finite and > 0, and out when some
+   constraint's are finite and < 0: the codes its cells would get lane
+   by lane, bit for bit.  A nan or inf bound keeps a block open.
 2. The cells of the other blocks are decided on the real parts of
    their values, as the dictionary order does.
 3. The imaginary parts and the pole mask are computed only on the few
@@ -327,13 +325,10 @@ def _constraint_values(problem: InequalityProblem, zr, zi, div) -> tuple:
     raise TypeError(f"not an inequality problem: {problem!r}")
 
 
-def _constraint_reals(problem: InequalityProblem, zr: np.ndarray, zi: np.ndarray) -> tuple:
-    """Real parts of :func:`_constraint_values` at float64 lanes, bit for bit.
-
-    Pole lanes come out as nan.
-    """
-    from . import _grid
-
+def _constraint_reals(problem: InequalityProblem, zr, zi, div_real) -> tuple:
+    """Real parts of :func:`_constraint_values`, bit for bit (nan at a pole)
+    on float64 lanes with ``div_real`` ``_grid.cdiv_real``, and their
+    bounds on ``_grid.Box`` ranges with ``_grid.box_cdiv_real``."""
     if isinstance(problem, Linear):
         return (_kernels.linear_real(*_parts(problem.a), problem.b.real, zr, zi),)
     if isinstance(problem, LinearSystem):
@@ -341,7 +336,7 @@ def _constraint_reals(problem: InequalityProblem, zr: np.ndarray, zi: np.ndarray
                 _kernels.linear_real(*_parts(problem.c), problem.d.real, zr, zi))
     if isinstance(problem, Fractional):
         parts = _parts(problem.a, problem.b, problem.c)
-        return (_kernels.fractional_real(*parts, problem.d.real, zr, zi, _grid.cdiv_real),)
+        return (_kernels.fractional_real(*parts, problem.d.real, zr, zi, div_real),)
     if isinstance(problem, Quadratic):
         parts = _parts(problem.a, problem.b)
         return (_kernels.quadratic_real(*parts, problem.c.real, zr, zi, *_kernels.csq(zr, zi)),)
@@ -492,7 +487,8 @@ def sample_raster(source: Region | InequalityProblem, grid: GridSpec) -> Bitmap:
         def fill(zr, zi, out):
             # the real parts decide every lane but those where one is 0 or
             # nan (every pole lane is one); the full values decide those
-            inside, undecided = _grid.decide_real(_constraint_reals(source, zr, zi))
+            inside, undecided = _grid.decide_real(_constraint_reals(source, zr, zi,
+                                                                    _grid.cdiv_real))
             _grid.codes(inside.reshape(out.shape), None, out)
             idx = np.flatnonzero(undecided)
             if idx.size == 0:
@@ -536,9 +532,7 @@ def _fill_blocks(problem: InequalityProblem, fill, view: np.ndarray, r0: int, c0
 
     b = _BLOCK
     h, w = ys.shape[0], xs.shape[0]
-    xlo, xhi = _block_range(xs)
-    ylo, yhi = _block_range(ys)
-    codes = _block_codes(problem, xlo, xhi, ylo[:, None], yhi[:, None])
+    codes = _block_codes(problem, _block_range(xs), _block_range(ys[:, None]))
     undecided = np.flatnonzero(codes == _UNDECIDED)
     if 2 * undecided.shape[0] > codes.size:
         # gathering a lane costs about as much again as evaluating it in
@@ -590,12 +584,12 @@ def _paint_blocks(target: np.ndarray, codes: np.ndarray) -> None:
         rows[...] = expanded[:rows.shape[0]]
 
 
-def _block_codes(problem: InequalityProblem, xlo, xhi, ylo, yhi) -> np.ndarray:
+def _block_codes(problem: InequalityProblem, x, y) -> np.ndarray:
     """IN or OUT for the blocks whose bounds settle every lane, else ``_UNDECIDED``.
 
-    The blocks are the boxes ``[xlo, xhi] x [ylo, yhi]`` (arrays that
-    broadcast together).  A block is IN when every constraint's real
-    part has finite bounds ``lo > 0``, and OUT when some constraint's has
+    The blocks are the boxes ``x`` times ``y``, ``(lo, hi)`` ranges of
+    arrays that broadcast together.  A block is IN when every constraint's
+    real part has finite bounds ``lo > 0``, and OUT when some constraint's has
     finite bounds ``hi < 0``: then every real part is > 0 at every lane,
     or some constraint's is < 0 at every lane, which is what
     :func:`_grid.decide_real` finds lane by lane.  Any other block, a nan
@@ -603,109 +597,17 @@ def _block_codes(problem: InequalityProblem, xlo, xhi, ylo, yhi) -> np.ndarray:
     """
     import numpy as np
 
+    from . import _grid
+
     inside = outside = None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for lo, hi in _real_bounds(problem, xlo, xhi, ylo, yhi):
-            positive = (lo > 0.0) & (hi < np.inf)
-            negative = (hi < 0.0) & (lo > -np.inf)
+        for real in _constraint_reals(problem, _grid.Box(*x), _grid.Box(*y),
+                                      _grid.box_cdiv_real):
+            positive = (real.lo > 0.0) & (real.hi < np.inf)
+            negative = (real.hi < 0.0) & (real.lo > -np.inf)
             inside = positive if inside is None else inside & positive
             outside = negative if outside is None else outside | negative
     codes = np.full(inside.shape, _UNDECIDED, dtype=np.uint8)
     codes[inside] = _kernels.IN
     codes[outside] = _kernels.OUT
     return codes
-
-
-def _extremes(weight: float, lo, hi) -> tuple:
-    """The ends of ``[lo, hi]`` at which ``weight * v`` is least and greatest."""
-    return (lo, hi) if weight >= 0.0 else (hi, lo)
-
-
-def _real_bounds(problem: InequalityProblem, xlo, xhi, ylo, yhi) -> list:
-    """``(lo, hi)`` of each constraint's computed real part over the blocks.
-
-    Every lane's real part lies in ``[lo, hi]`` when both are finite.
-    The real part is a tree of rounded ``+ - *`` over the inputs
-    ``zr, zi`` (a linear constraint) or ``zr, zi, sr, si`` with
-    ``(sr, si) = csq(zr, zi)`` (a quadratic), each input used once.
-    Rounding to nearest is monotone in each operand, so the tree is
-    monotone in each input, in the direction of the sign of the
-    coefficient it is multiplied by; its least and greatest values over a
-    box of inputs are at the two corners that :func:`_extremes` picks,
-    once the square's inputs are bounded over the block.  Should any
-    value at any corner overflow, the sum it enters also does at one of
-    the two corners (or is nan there), so finite bounds rule out inf and
-    nan in between.
-    """
-    import numpy as np
-
-    if isinstance(problem, Quadratic):
-        (ar, ai), (br, bi), cr = _parts(problem.a), _parts(problem.b), problem.c.real
-        xx_lo, xx_hi = (v * v for v in _abs_range(xlo, xhi))  # fl(v*v) is monotone in |v|
-        yy_lo, yy_hi = (v * v for v in _abs_range(ylo, yhi))
-        p_lo, p_hi = _corner_range(np.multiply, (xlo, xhi), (ylo, yhi))
-        corners = zip(_extremes(ar, xx_lo - yy_hi, xx_hi - yy_lo),
-                      _extremes(-ai, p_lo + p_lo, p_hi + p_hi),
-                      _extremes(br, xlo, xhi), _extremes(-bi, ylo, yhi))
-        return [tuple(_kernels.quadratic_real(ar, ai, br, bi, cr, zr, zi, sr, si)
-                      for sr, si, zr, zi in corners)]
-    if isinstance(problem, Fractional):
-        return [_fraction_bounds(problem, xlo, xhi, ylo, yhi)]
-    pairs = [(problem.a, problem.b)]
-    if isinstance(problem, LinearSystem):
-        pairs.append((problem.c, problem.d))
-    return [tuple(_kernels.linear_real(a.real, a.imag, b.real, zr, zi)
-                  for zr, zi in zip(_extremes(a.real, xlo, xhi), _extremes(-a.imag, ylo, yhi)))
-            for a, b in pairs]
-
-
-def _fraction_bounds(problem: Fractional, xlo, xhi, ylo, yhi) -> tuple:
-    """``(lo, hi)`` of the computed ``_kernels.fractional_real`` over the blocks.
-
-    ``_kernels.fraction_terms`` are trees like a linear real part.  Their
-    quotient is bounded for each branch of ``_grid.cdiv_real`` that a
-    lane of a block may take: wide where |wr| >= |wi|, else swapped.
-    """
-    import numpy as np
-
-    ar, ai, br, bi, cr, ci = _parts(problem.a, problem.b, problem.c)
-    nr = [ar * x - ai * y + br for x, y in zip(_extremes(ar, xlo, xhi), _extremes(-ai, ylo, yhi))]
-    ni = [ar * y + ai * x + bi for x, y in zip(_extremes(ai, xlo, xhi), _extremes(ar, ylo, yhi))]
-    wr, wi = (xlo + cr, xhi + cr), (ylo + ci, yhi + ci)
-    (wr_least, wr_most), (wi_least, wi_most) = _abs_range(*wr), _abs_range(*wi)
-    wide, tall = _wide_real_range(nr, ni, wr, wi), _wide_real_range(ni, nr, wi, wr)
-    # a branch that no lane of a block takes leaves the bounds alone
-    may_wide, may_tall = wr_most >= wi_least, wr_least < wi_most
-    lo = np.minimum(np.where(may_wide, wide[0], np.inf), np.where(may_tall, tall[0], np.inf))
-    hi = np.maximum(np.where(may_wide, wide[1], -np.inf), np.where(may_tall, tall[1], -np.inf))
-    return lo - problem.d.real, hi - problem.d.real
-
-
-def _wide_real_range(ar, ai, br, bi) -> tuple:
-    """Bounds of ``_kernels.cdiv_wide_real`` over ranges ``(lo, hi)`` of its
-    operands, taken as independent; nan where a divisor's range holds 0."""
-    import numpy as np
-
-    t = _corner_range(np.divide, bi, br)
-    num = [a + p for a, p in zip(ar, _corner_range(np.multiply, ai, t))]
-    den = [b + p for b, p in zip(br, _corner_range(np.multiply, bi, t))]
-    valid = ((br[0] > 0.0) | (br[1] < 0.0)) & ((den[0] > 0.0) | (den[1] < 0.0))
-    return tuple(np.where(valid, q, np.nan) for q in _corner_range(np.divide, num, den))
-
-
-def _corner_range(op, a, b) -> tuple:
-    """Least and greatest ``op(x, y)`` for x and y in the ranges ``a`` and
-    ``b``: a rounded ``*``, or ``/`` by a range without 0, is monotone in
-    each operand, so they are among its four corner values (nan if one is)."""
-    import numpy as np
-
-    v = [op(x, y) for x in a for y in b]
-    return np.minimum.reduce(v), np.maximum.reduce(v)
-
-
-def _abs_range(lo, hi) -> tuple:
-    """Bounds of ``|v|`` for v in ``[lo, hi]``."""
-    import numpy as np
-
-    most = np.maximum(abs(lo), abs(hi))
-    return np.where((lo <= 0.0) & (hi >= 0.0), 0.0, np.minimum(abs(lo), abs(hi))), most

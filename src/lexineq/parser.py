@@ -16,10 +16,11 @@ tree and re-parsing it reproduces the tree exactly.  A ``<=`` input is
 normalized to ``>=`` by swapping the sides.  Two inequalities joined by
 ``&&`` form a system; :func:`parse_input` accepts both shapes.
 Parentheses and unary minus nest at most ``_Parser.MAX_DEPTH`` levels
-deep, the expression tree of each side is at most ``_Parser.MAX_HEIGHT``
-nodes from root to leaf (a chain ``Z+Z+...+Z`` of n terms is n nodes
-deep), and exponent literals are at most ``MAX_EXPONENT``; input past any
-of these limits is a :class:`ParseError` at the offending byte.
+deep (a parenthesized literal's sign is no level), the expression tree
+of each side is at most ``_Parser.MAX_HEIGHT`` nodes from root to leaf
+(a chain ``Z+Z+...+Z`` of n terms is n nodes deep), and exponent
+literals are at most ``MAX_EXPONENT``; input past any of these limits is
+a :class:`ParseError` at the offending byte.
 """
 
 from __future__ import annotations
@@ -147,7 +148,8 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    # Nesting limit: each '(' and each unary '-' counts one level.  A '('
+    # Nesting limit: each '(' and each unary '-' counts one level, but for the
+    # sign of a parenthesized literal (``_paren_literal``).  A '('
     # costs four parser frames and up to four frames in each later
     # recursive walk of the tree (normalize, eval_expr, to_text), so 100
     # levels stay well inside Python's default recursion limit of 1000.
@@ -279,21 +281,26 @@ class _Parser:
         self._error(f"expected a value, found {tok[1] or 'end of input'!r}", tok)
 
     def _paren_literal(self) -> Lit | None:
-        """Fold ``(a+bi)`` after a '(' in one step, through the ')'.
+        """Fold a parenthesized literal after a '(' in one step, through the ')'.
 
-        Takes only ``[-] NUMBER (+|-) NUMBER i )`` with finite parts, a
-        nonzero imaginary part and room for the minus, and returns the
-        literal the general path would; else consumes nothing, returns None.
+        Takes only ``- NUMBER [i] )`` and ``[-] NUMBER (+|-) NUMBER i )``
+        (finite, with a nonzero imaginary part), as :func:`to_text` prints
+        them, and returns the literal the general path would; else consumes
+        nothing, returns None.  The minus is a sign, not a level of nesting.
         """
         tokens, i = self.tokens, self.i
         negate = tokens[i][1] == "-"
-        if negate and self.depth >= self.MAX_DEPTH:
-            return None
         i += negate
         kind, real_text, _ = tokens[i]
         if kind != "num":
             return None
         sign = tokens[i + 1][1]
+        if negate and (sign == ")" or sign in _IMAGINARY_UNIT and tokens[i + 2][1] == ")"):
+            value = float(real_text)
+            if not math.isfinite(value):
+                self._error("numeric literal overflows to infinity", tokens[i])
+            self.i = i + 2 + (sign != ")")
+            return Lit(-complex(value, 0.0) if sign == ")" else -complex(0.0, value))
         if sign != "+" and sign != "-":
             return None
         kind, imag_text, _ = tokens[i + 2]

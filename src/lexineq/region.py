@@ -60,9 +60,17 @@ class Membership(IntEnum):
     IN = _kernels.IN
 
 
+def _finite(x: float, what: str) -> bool:
+    """``math.isfinite(x)``, with a ValueError for an int beyond the float range."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        raise ValueError(f"{what} lies outside the float range") from None
+
+
 def principal_angle(theta: float) -> float:
     """Reduce an angle to the principal branch (-pi, pi]."""
-    if not math.isfinite(theta):
+    if not _finite(theta, "angle"):
         raise ValueError(f"angle must be finite, got {theta!r}")
     if -math.pi < theta <= math.pi:
         return theta
@@ -89,7 +97,7 @@ class Scale:
     r: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.r) and self.r > 0.0):
+        if not (_finite(self.r, "scale factor") and self.r > 0.0):
             raise NonPositiveScaleError(f"scale factor must be finite and > 0, got {self.r!r}")
 
 

@@ -326,6 +326,21 @@ class TestRegionJson:
         assert doc == {"base": {"re": 0.5, "im": 0.0},
                        "transforms": [{"kind": "rotate", "theta": 1.0}]}
 
+    @pytest.mark.parametrize("where, what", [
+        ('"base": {"re": BIG, "im": 0}, "transforms": []', "base anchor"),
+        ('"base": {"re": 0, "im": 0}, "transforms": [{"kind": "scale", "r": BIG}]',
+         "scale factor"),
+        ('"base": {"re": 0, "im": 0}, "transforms": [{"kind": "rotate", "theta": BIG}]',
+         "angle"),
+        ('"base": {"re": 0, "im": 0}, "transforms": [{"kind": "translate", "re": 0, "im": BIG}]',
+         "translation offset"),
+    ])
+    def test_int_beyond_float_range_refused(self, where, what):
+        # JSON reads a 401-digit number as an int, which no float holds
+        doc = json.loads("{" + where.replace("BIG", "9" * 401) + "}")
+        with pytest.raises(ValueError, match=f"^{what} lies outside the float range$"):
+            cli.region_from_json(doc)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             cli.region_from_json({"base": {"re": 0, "im": 0},

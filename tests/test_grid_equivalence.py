@@ -311,11 +311,18 @@ class TestUndecidedLanes:
         assert got[~nan].tobytes() == expected[~nan].tobytes()
 
 
+def _block_ranges(grid):
+    """``(lo, hi)`` ranges of the coordinates of a grid's blocks, x and y."""
+    return oracle._block_range(grid.re_axis()), oracle._block_range(grid.im_axis()[:, None])
+
+
+def _block_boxes(grid):
+    return [_grid.Box(*r) for r in _block_ranges(grid)]
+
+
 def _block_codes(problem, grid):
     """The block codes of a grid that :func:`sample_raster` takes in one chunk."""
-    xlo, xhi = oracle._block_range(grid.re_axis())
-    ylo, yhi = oracle._block_range(grid.im_axis())
-    return oracle._block_codes(problem, xlo, xhi, ylo[:, None], yhi[:, None])
+    return oracle._block_codes(problem, *_block_ranges(grid))
 
 
 def _wide_coefficient(rng):
@@ -378,6 +385,33 @@ class TestBlockDecision:
                 codes, _ = problem_grid(problem, zr, zi)
             assert cells.tobytes() == codes.tobytes(), problem
 
+    @pytest.mark.parametrize("kind", ["linear", "system", "quadratic", "fractional"])
+    def test_finite_bounds_hold_every_lane(self, kind):
+        # the bounds themselves, not only the sign that settles a block: in a
+        # block with finite bounds every lane's real part is finite and inside
+        b = oracle._BLOCK
+        checked = 0
+        for grid_name, grid in BLOCK_GRIDS.items():
+            rng = np.random.default_rng([53, len(kind), len(grid_name)])
+            zr, zi = grid.points()
+            blocks = (-(-grid.ny // b), -(-grid.nx // b))
+            for _ in range(4 if grid.nx > oracle._TILE_POINTS else 25):
+                problem = _wide_problem(rng, kind)
+                with np.errstate(all="ignore"):
+                    bounds = oracle._constraint_reals(problem, *_block_boxes(grid),
+                                                      _grid.box_cdiv_real)
+                    reals = oracle._constraint_reals(problem, zr, zi, _grid.cdiv_real)
+                for box, real in zip(bounds, reals):
+                    # each block's bounds repeated over its cells
+                    lo, hi = (np.broadcast_to(v, blocks).repeat(b, axis=0).repeat(b, axis=1)
+                              [:grid.ny, :grid.nx].ravel() for v in (box.lo, box.hi))
+                    finite = np.isfinite(lo) & np.isfinite(hi)
+                    v = real[finite]
+                    assert np.isfinite(v).all(), problem
+                    assert ((lo[finite] <= v) & (v <= hi[finite])).all(), problem
+                    checked += int(np.count_nonzero(np.isfinite(box.lo) & np.isfinite(box.hi)))
+        assert checked > 0
+
     @pytest.mark.parametrize("grid_name", ["straddles-both-axes", "avoids-the-axes"])
     def test_small_coefficients_decide_most_blocks(self, grid_name):
         # the corpus-like case: both decided and undecided blocks occur
@@ -399,6 +433,8 @@ class TestBlockDecision:
         (LinearSystem(1 + 0j, 0j, 0j, 1 + 0j), Membership.OUT),     # 0*Z - 1 < 0
         (Fractional(0j, 1 + 0j, 10 + 0j, -1 + 0j), Membership.IN),  # 1/(z + 10) + 1 > 0
         (Fractional(1j, 0j, 5 + 0j, 2 + 0j), Membership.OUT),       # Re(i z/(z + 5)) - 2 < 0
+        # x^2 - y^2 + 2.26 > 0 for |y| <= 1.5, but only with x*x >= 0 where x straddles 0
+        (Quadratic(1 + 0j, 0j, 2.26 + 0j), Membership.IN),
     ])
     def test_every_block_decided(self, problem, code):
         grid = BLOCK_GRIDS["straddles-both-axes"]
@@ -417,11 +453,9 @@ class TestBlockDecision:
     ])
     def test_no_block_decided(self, problem, grid_name):
         grid = BLOCK_GRIDS[grid_name]
-        xlo, xhi = oracle._block_range(grid.re_axis())
-        ylo, yhi = oracle._block_range(grid.im_axis())
         with np.errstate(all="ignore"):
-            (lo, hi), = oracle._real_bounds(problem, xlo, xhi, ylo[:, None], yhi[:, None])
-            assert np.isnan(lo).any() or np.isnan(hi).any()
+            real, = oracle._constraint_reals(problem, *_block_boxes(grid), _grid.box_cdiv_real)
+            assert np.isnan(real.lo).any() or np.isnan(real.hi).any()
             assert set(_block_codes(problem, grid).ravel().tolist()) == {oracle._UNDECIDED}
             cells = sample_raster(problem, grid).cells
             codes, _ = problem_grid(problem, *grid.points())

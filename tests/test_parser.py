@@ -234,7 +234,16 @@ EDGE_CASES = [
      "Lit(value=(-1+2j)) >= Var()"),
     ("parse_input", "(" * (LIMIT - 1) + "(1+2i)" + ")" * (LIMIT - 1) + " >= Z",
      "Lit(value=(1+2j)) >= Var()"),
+    # a literal's sign is not a level of nesting
     ("parse_input", "(" * (LIMIT - 1) + "(-1+2i)" + ")" * (LIMIT - 1) + " >= Z",
+     "Lit(value=(-1+2j)) >= Var()"),
+    ("parse_input", "(" * (LIMIT - 1) + "(-3)" + ")" * (LIMIT - 1) + " >= Z",
+     "Lit(value=(-3+0j)) >= Var()"),
+    ("parse_input", "(" * (LIMIT - 1) + "(-2i)" + ")" * (LIMIT - 1) + " >= Z",
+     "Lit(value=-2j) >= Var()"),
+    ("parse_input", "(" * (LIMIT - 1) + "(-1e999)" + ")" * (LIMIT - 1) + " >= Z",
+     ("ParseError", "numeric literal overflows to infinity (at byte 101)", 101)),
+    ("parse_input", "(" * LIMIT + "(-1+2i)" + ")" * LIMIT + " >= Z",
      ("ParseError", "expression nests deeper than 100 levels of parentheses and unary minus "
       "(at byte 100)", 100)),
 ]
@@ -309,7 +318,13 @@ class TestChainLimit:
         # nesting and chains together: each of the 50 levels adds a negation,
         # a power, a product and a sum over a 200-term chain
         _nested(LIMIT // 2, "-({})^1*1+1").replace("Z", "+".join(["Z"] * (HEIGHT - 200)), 1),
-    ], ids=["sum-chain", "nested-chains"])
+        # a unary minus at the deepest level, printed as the literal
+        # (-1.0+2.0i) inside as many parentheses: its sign is no level
+        "Z-(" * (LIMIT - 1) + "-1+2i+Z" + ")" * (LIMIT - 1) + " >= 0",
+        # printed as (-1.0i)
+        "Z-(" * (LIMIT - 1) + "-0-1i+Z" + ")" * (LIMIT - 1) + " >= 0",
+    ], ids=["sum-chain", "nested-chains", "signed-literal-at-depth-limit",
+            "negative-imaginary-at-depth-limit"])
     def test_deepest_trees_solve(self, capsys, text):
         assert cli.main(["solve", text]) == 0
         out, err = capsys.readouterr()

@@ -78,6 +78,12 @@ class TestApplyTransform:
         with pytest.raises(NonPositiveScaleError):
             Scale(-2.0)
 
+    @pytest.mark.parametrize("make, what", [(Scale, "scale factor"), (Rotate, "angle")])
+    @pytest.mark.parametrize("value", [10**400, -10**400])
+    def test_int_beyond_float_range_refused(self, make, what, value):
+        with pytest.raises(ValueError, match=f"^{what} lies outside the float range$"):
+            make(value)
+
     def test_chain_is_appended_outermost_last(self):
         r = apply_transform(apply_transform(Region(0j), Invert()), Rotate(1.0))
         assert isinstance(r.transforms[0], Invert)
