@@ -272,9 +272,14 @@ def _cmd_raster(args) -> int:
     nx, ny = args.res
     grid = oracle.GridSpec(re_min, re_max, im_min, im_max, nx, ny)
     bitmap = oracle.sample_raster(problem, grid)
-    payload = bitmap.to_pgm() if args.format == "pgm" else bitmap.to_csv()
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(payload)
+    if args.format == "pgm":
+        payload = bitmap._pgm_bytes()  # ASCII bytes, written with no str made from them
+        with open(args.out, "wb") as fh:
+            fh.write(payload)
+    else:
+        payload = bitmap.to_csv()
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(payload)
     return 0
 
 

@@ -91,9 +91,10 @@ DEFAULT_EPS = 1e-6
 # Largest grid accepted, in cells.  A raster needs one tile of float64
 # temporaries plus one byte per cell (its code), whatever the row width,
 # but the writers build the whole file text in memory: PGM a buffer of 2
-# bytes per cell and the string decoded from it, CSV one string per
-# column, the text's pieces and the joined text (about 20-50 bytes per
-# cell each).  The cap keeps a CSV's text under a gigabyte.
+# bytes per cell filled in one uint16 pass (``to_pgm`` also decodes it to
+# a string; ``lexineq raster`` writes the buffer itself), CSV one string
+# per column, the text's pieces and the joined text (about 20-50 bytes
+# per cell each).  The cap keeps a CSV's text under a gigabyte.
 MAX_CELLS = 1 << 24
 
 # Most grid points evaluated at once, whatever the row width: a row longer
@@ -242,22 +243,34 @@ class Bitmap:
         """Plain portable graymap: header P2, values 0=Out, 1=Pole, 2=In.
 
         Rows are written top-down (largest imaginary coordinate first)
-        so viewers show the plane with the usual orientation.
+        so viewers show the plane with the usual orientation.  The text
+        is decoded from the ASCII buffer that ``_pgm_bytes`` fills.
+        """
+        return str(self._pgm_bytes(), "ascii")
+
+    def _pgm_bytes(self):
+        """The PGM file as a uint8 array of ASCII bytes, 2 per cell.
+
+        The body is filled in one uint16 pass: a cell's code plus
+        ``ord("0") | ord(" ") << 8``, stored little-endian (``"<u2"``),
+        is its digit followed by a space.  Then the last space of each
+        row becomes a newline.  ``lexineq raster`` writes this array as
+        it is.
         """
         import numpy as np
 
         g = self.grid
         header = f"P2\n{g.nx} {g.ny}\n2\n".encode("ascii")
-        buf = np.empty(len(header) + 2 * g.nx * g.ny, dtype=np.uint8)
-        buf[:len(header)] = np.frombuffer(header, dtype=np.uint8)
-        # one byte per digit and one per separator: a space, or a newline
-        # after the last digit of a row
-        body = buf[len(header):].reshape(g.ny, 2 * g.nx)
-        np.add(self.cells.reshape(g.ny, g.nx)[::-1], ord("0"), out=body[:, 0::2],
-               casting="unsafe")
-        body[:, 1::2] = ord(" ")
-        body[:, -1] = ord("\n")
-        return str(buf, "ascii")
+        # one unused leading byte when the header is odd, so the body's
+        # uint16 cells start at an even offset
+        skip = len(header) % 2
+        start = skip + len(header)
+        buf = np.empty(start + 2 * g.nx * g.ny, dtype=np.uint8)
+        buf[skip:start] = np.frombuffer(header, dtype=np.uint8)
+        np.add(self.cells.reshape(g.ny, g.nx)[::-1], np.uint16(ord("0") | ord(" ") << 8),
+               out=buf[start:].view("<u2").reshape(g.ny, g.nx), casting="unsafe")
+        buf[start:].reshape(g.ny, 2 * g.nx)[:, -1] = ord("\n")
+        return buf[skip:]
 
     def to_csv(self) -> str:
         """CSV with columns re,im,state; states are in/out/pole."""

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import pytest
@@ -207,6 +208,22 @@ class TestRaster:
                            "--res", "3,3", "--out", str(path))
         assert status == 0
         assert path.read_text() == "P2\n3 3\n2\n0 2 2\n0 2 2\n0 0 2\n"
+
+    def test_pgm_memory_is_the_cells_and_the_buffer(self, capsys, tmp_path):
+        # 1 byte per cell of codes and the 2-byte buffer written as it is:
+        # no str decoded from the buffer, no bytes encoded back from it
+        path = tmp_path / "out.pgm"
+        args = ["raster", "1/Z >= 1", "--out", str(path)]
+        assert cli.main(args + ["--res", "3,3"]) == 0  # imports out of the trace
+        tracemalloc.start()
+        try:
+            status = cli.main(args + ["--res", "2000,2000"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert status == 0
+        assert peak < 4 * 2000 * 2000
+        assert path.stat().st_size == len("P2\n2000 2000\n2\n") + 2 * 2000 * 2000
 
     def test_csv(self, capsys, tmp_path):
         path = tmp_path / "out.csv"

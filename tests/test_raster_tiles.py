@@ -93,8 +93,17 @@ PROBLEMS = [
 PROBLEM_IDS = ["linear", "system", "fractional-pole", "quadratic"]
 
 
+# Writer shapes: the PGM body's uint16 cells start at an even offset, after
+# one unused byte when the header is odd, so both header parities are here.
+WRITER_SHAPES = [(2, 2), (2, 7), (9, 2), (17, 33), (33, 17), (10, 3), (3, 10)]
+
+
+def test_writer_shapes_cover_both_header_parities():
+    assert {len(f"P2\n{nx} {ny}\n2\n") % 2 for nx, ny in WRITER_SHAPES} == {0, 1}
+
+
 class TestWriters:
-    @pytest.mark.parametrize("nx, ny", [(2, 2), (2, 7), (9, 2), (17, 33), (33, 17)])
+    @pytest.mark.parametrize("nx, ny", WRITER_SHAPES)
     @pytest.mark.parametrize("problem", PROBLEMS, ids=PROBLEM_IDS)
     def test_shapes_and_classes(self, problem, nx, ny):
         bitmap = sample_raster(problem, GridSpec(-2, 2, -2, 2, nx, ny))
@@ -148,6 +157,19 @@ class TestWriters:
             tracemalloc.stop()
         assert peak < 4 * len(csv)
         assert csv == reference_csv(bitmap)
+
+    def test_pgm_memory_is_the_buffer_and_the_string(self):
+        # a 2-byte buffer per cell and the 2-character string decoded from
+        # it make 4 bytes per cell; no temporary the size of the grid
+        bitmap = sample_raster(FRACTIONAL_POLE, GridSpec(-2, 2, -2, 2, 1000, 1000))
+        tracemalloc.start()
+        try:
+            pgm = bitmap.to_pgm()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * bitmap.cells.size
+        assert pgm == reference_pgm(bitmap)
 
     def test_region_raster(self):
         bitmap = sample_raster(Region(-1 + 0j, (Sqrt(),)), GridSpec(-2, 2, -2, 2, 41, 23))
