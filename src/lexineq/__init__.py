@@ -4,88 +4,59 @@ solvers for four classes of complex inequalities, verified against a
 brute-force membership oracle.
 """
 
-from .errors import (
-    DegenerateFractionError,
-    LexineqError,
-    MultipleVariablesError,
-    NonIntegerExponentError,
-    NonPositiveScaleError,
-    ParseError,
-    PoleError,
-    UnknownLawError,
-    UnsupportedFormError,
-    ZeroLeadingCoefficientError,
-)
-from .lexorder import (
-    Ordering,
-    Polar,
-    complex_div,
-    lex_cmp,
-    lex_ge,
-    lex_le,
-    polar_decompose,
-)
-from .region import (
-    Disc,
-    Generic,
-    HyperbolaDomain,
-    Invert,
-    Membership,
-    ObliqueHalfPlane,
-    Region,
-    Rotate,
-    Scale,
-    Sqrt,
-    Translate,
-    VerticalHalfPlane,
-    apply_transform,
-    classify,
-    contains,
-    membership_grid,
-)
-from .solver import (
-    Fractional,
-    InequalityProblem,
-    Linear,
-    LinearSystem,
-    Quadratic,
-    SolutionKind,
-    SolutionSet,
-    solution_contains,
-    solution_grid,
-    solve,
-    solve_fractional,
-    solve_linear,
-    solve_linear_system,
-    solve_quadratic,
-)
-from .oracle import (
-    DEFAULT_EPS,
-    Bitmap,
-    GridSpec,
-    VerificationReport,
-    boundary_margin,
-    default_grid,
-    eval_direct,
-    sample_raster,
-    verify,
-)
-from .normalize import classify_problem
-from .parser import SourceExpr, eval_expr, parse, parse_complex, parse_input, to_text
+import importlib
 
 __version__ = "0.1.0"
 
-# ``laws`` samples with numpy, which costs more start-up time than the rest
-# of the package; its names are bound on first access (PEP 562) so that
-# ``import lexineq`` and the scalar commands do not load numpy.
-_LAWS_NAMES = frozenset({"LAW_IDS", "LawReport", "check_all", "check_law", "recheck"})
+# Each public name, under the module that defines it.  ``import lexineq``
+# imports no submodule: a name is bound on first access (PEP 562), so each
+# command loads only the modules it runs.  Where ``PYTHONDONTWRITEBYTECODE``
+# is set, a module loaded is a module compiled, on every call.
+_EXPORTS = {
+    "errors": (
+        "DegenerateFractionError", "LexineqError", "MultipleVariablesError",
+        "NonIntegerExponentError", "NonPositiveScaleError", "ParseError", "PoleError",
+        "UnknownLawError", "UnsupportedFormError", "ZeroLeadingCoefficientError",
+    ),
+    "lexorder": (
+        "Membership", "Ordering", "Polar", "complex_div", "lex_cmp", "lex_ge", "lex_le",
+        "polar_decompose",
+    ),
+    "parser": ("SourceExpr", "eval_expr", "parse", "parse_complex", "parse_input", "to_text"),
+    "normalize": (
+        "Fractional", "InequalityProblem", "Linear", "LinearSystem", "Quadratic",
+        "classify_problem",
+    ),
+    "region": (
+        "Disc", "Generic", "HyperbolaDomain", "Invert", "ObliqueHalfPlane", "Region",
+        "Rotate", "Scale", "Sqrt", "Translate", "VerticalHalfPlane", "apply_transform",
+        "classify", "contains", "membership_grid",
+    ),
+    "solver": (
+        "SolutionKind", "SolutionSet", "solution_contains", "solution_grid", "solve",
+        "solve_fractional", "solve_linear", "solve_linear_system", "solve_quadratic",
+    ),
+    "oracle": (
+        "DEFAULT_EPS", "Bitmap", "GridSpec", "VerificationReport", "boundary_margin",
+        "default_grid", "eval_direct", "sample_raster", "verify",
+    ),
+    # laws samples with numpy, which costs more start-up time than the rest
+    "laws": ("LAW_IDS", "LawReport", "check_all", "check_law", "recheck"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
 
 
 def __getattr__(name: str):
-    if name in _LAWS_NAMES:
-        from . import laws
+    if name in _EXPORTS:  # a submodule not imported yet, as ``lexineq.solver``
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
 
-        value = getattr(laws, name)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+def __dir__():
+    return sorted({*globals(), *_HOME})

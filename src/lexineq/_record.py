@@ -11,7 +11,8 @@ classes import ``inspect`` (and with it ``ast``, ``dis`` and
 generated from source, so construction costs the same; ``__repr__``,
 ``__eq__``, ``__hash__`` and the frozen ``__setattr__``/``__delattr__``
 are shared closures over the field-name tuple, which each class keeps
-as ``_fields`` (declaration order) and ``__match_args__``.  The standard
+as ``_fields`` (declaration order) and ``__match_args__``.  ``==`` and
+``repr`` also hold for trees as deep as the parser accepts.  The standard
 library's helpers (``fields``, ``replace``, ``asdict``) do not apply.
 """
 
@@ -47,10 +48,9 @@ def record(cls=None, *, eq=True):
     cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     values = _values_getter(names)
-    template = ", ".join(f"{n}={{!r}}" for n in names)
 
     def __repr__(self):
-        return f"{self.__class__.__qualname__}({template.format(*values(self))})"
+        return _text(self, values)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -63,14 +63,74 @@ def record(cls=None, *, eq=True):
     if eq:
         def __eq__(self, other):
             if other.__class__ is self.__class__:
-                return values(self) == values(other)
+                try:
+                    return values(self) == values(other)
+                except RecursionError:  # a tree too deep to compare recursively
+                    return _equal(self, other, values)
             return NotImplemented
 
         def __hash__(self):
             return hash(values(self))
 
         cls.__eq__, cls.__hash__ = __eq__, __hash__
+        _VALUES[cls] = values
     return cls
+
+
+# The field-value getter of each record class that compares by value.  A
+# parse tree is a record per level, so ``==`` and ``repr`` recurse once
+# per level, several frames each: a chain of 400 terms, which the parser
+# accepts, exceeds the interpreter's recursion limit.  ``_equal`` and
+# ``_text`` walk nested records of these classes from a stack instead.
+# ``==`` tries the tuple comparison first, which costs a shallow record
+# nothing more, and walks only when that runs out of stack.
+_VALUES = {}
+
+
+def _equal(a, b, values):
+    """``values(a) == values(b)``, with nested records compared from a stack.
+
+    Field values compare as in a tuple: equal when identical, else by
+    ``==``; two records of one class in ``_VALUES`` are compared by their
+    own fields, later, instead of by a recursive ``==``.
+    """
+    pending = []
+    while True:
+        for x, y in zip(values(a), values(b)):
+            if x is y:
+                continue
+            nested = _VALUES.get(x.__class__)
+            if nested is not None and y.__class__ is x.__class__:
+                pending.append((x, y, nested))
+            elif not x == y:
+                return False
+        if not pending:
+            return True
+        a, b, values = pending.pop()
+
+
+def _text(rec, values):
+    """``Name(field=value, ...)``, with nested records of classes in
+    ``_VALUES`` printed in place from a stack instead of by a recursive
+    ``repr``."""
+    parts = []
+    todo = [(rec, values)]  # records to print, and text already printed
+    while todo:
+        item = todo.pop()
+        if item.__class__ is str:
+            parts.append(item)
+            continue
+        rec, values = item
+        cls = rec.__class__
+        todo.append(")")
+        fields = tuple(zip(cls._fields, values(rec)))
+        for i in range(len(fields) - 1, -1, -1):
+            name, value = fields[i]
+            nested = _VALUES.get(value.__class__)
+            todo.append(repr(value) if nested is None else (value, nested))
+            todo.append(f"{name}=" if i == 0 else f", {name}=")
+        todo.append(f"{cls.__qualname__}(")
+    return "".join(parts)
 
 
 def _values_getter(names):

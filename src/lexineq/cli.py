@@ -20,34 +20,22 @@ decimals.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from . import oracle
-from .errors import LexineqError, ParseError
-from .normalize import classify_problem_ex, problem_kind
-from .parser import parse_complex, parse_input, source_to_text
-from .region import (
-    Disc,
-    Generic,
-    HyperbolaDomain,
-    Invert,
-    ObliqueHalfPlane,
-    Region,
-    Rotate,
-    Scale,
-    Sqrt,
-    Translate,
-    VerticalHalfPlane,
-    classify,
-)
-from .solver import solve
+# The JSON helpers reach the region and problem classes through the
+# package's lazily bound names, so that loading cli imports neither and a
+# helper runs no import statement per call.  Each command imports the
+# modules it runs where it first needs them: a refused input loads no
+# normalize, solver or oracle, and `laws` no parser.
+import lexineq
 
 TYPE_CHECKING = False  # type checkers read it as True; saves importing typing
 if TYPE_CHECKING:
     from collections.abc import Sequence
 
     from .laws import LawReport
+    from .oracle import VerificationReport
+    from .region import Region
 
 SCHEMA = "lexineq/1"
 
@@ -61,13 +49,13 @@ def complex_to_json(z: complex) -> dict:
 def region_to_json(region: Region) -> dict:
     transforms = []
     for t in region.transforms:
-        if isinstance(t, Rotate):
+        if isinstance(t, lexineq.Rotate):
             transforms.append({"kind": "rotate", "theta": t.theta})
-        elif isinstance(t, Scale):
+        elif isinstance(t, lexineq.Scale):
             transforms.append({"kind": "scale", "r": t.r})
-        elif isinstance(t, Translate):
+        elif isinstance(t, lexineq.Translate):
             transforms.append({"kind": "translate", "re": t.offset.real, "im": t.offset.imag})
-        elif isinstance(t, Invert):
+        elif isinstance(t, lexineq.Invert):
             transforms.append({"kind": "invert"})
         else:
             transforms.append({"kind": "sqrt"})
@@ -87,41 +75,41 @@ def region_from_json(doc: dict) -> Region:
     for t in doc["transforms"]:
         kind = t["kind"]
         if kind == "rotate":
-            transforms.append(Rotate(t["theta"]))
+            transforms.append(lexineq.Rotate(t["theta"]))
         elif kind == "scale":
-            transforms.append(Scale(t["r"]))
+            transforms.append(lexineq.Scale(t["r"]))
         elif kind == "translate":
-            transforms.append(Translate(_complex_from_json(t, "translation offset")))
+            transforms.append(lexineq.Translate(_complex_from_json(t, "translation offset")))
         elif kind == "invert":
-            transforms.append(Invert())
+            transforms.append(lexineq.Invert())
         elif kind == "sqrt":
-            transforms.append(Sqrt())
+            transforms.append(lexineq.Sqrt())
         else:
             raise ValueError(f"unknown transform kind {kind!r}")
-    return Region(base, tuple(transforms))
+    return lexineq.Region(base, tuple(transforms))
 
 
 def problem_to_json(problem) -> dict:
-    doc = {"kind": problem_kind(problem)}
+    doc = {"kind": lexineq.normalize.problem_kind(problem)}
     for name in problem._fields:
         doc[name] = complex_to_json(getattr(problem, name))
     return doc
 
 
 def classification_to_json(c) -> dict:
-    if isinstance(c, VerticalHalfPlane):
+    if isinstance(c, lexineq.VerticalHalfPlane):
         return {"kind": "vertical-half-plane", "boundary_re": c.boundary_re,
                 "boundary_note": c.boundary_note}
-    if isinstance(c, ObliqueHalfPlane):
+    if isinstance(c, lexineq.ObliqueHalfPlane):
         return {"kind": "oblique-half-plane", "normal_angle": c.normal_angle,
                 "offset": c.offset, "boundary_note": c.boundary_note}
-    if isinstance(c, Disc):
+    if isinstance(c, lexineq.Disc):
         return {"kind": "disc", "center": complex_to_json(c.center), "radius": c.radius,
                 "boundary_note": c.boundary_note}
-    if isinstance(c, HyperbolaDomain):
+    if isinstance(c, lexineq.HyperbolaDomain):
         return {"kind": "hyperbola-domain", "a1": c.a1, "connected": c.connected,
                 "contains_origin": c.contains_origin, "boundary_note": c.boundary_note}
-    if isinstance(c, Generic):
+    if isinstance(c, lexineq.Generic):
         return {"kind": "generic", "boundary_note": c.boundary_note}
     raise TypeError(f"not a classification: {c!r}")
 
@@ -136,11 +124,9 @@ def solution_to_json(solution) -> dict:
 
 
 def law_report_to_json(report: LawReport) -> dict:
-    from .laws import is_law
-
     return {
         "law_id": report.law_id,
-        "is_law": is_law(report.law_id),
+        "is_law": lexineq.laws.is_law(report.law_id),
         "samples": report.samples,
         "outcome": report.outcome,
         "witness": None if report.witness is None
@@ -148,7 +134,7 @@ def law_report_to_json(report: LawReport) -> dict:
     }
 
 
-def verification_to_json(report: oracle.VerificationReport) -> dict:
+def verification_to_json(report: VerificationReport) -> dict:
     return {
         "total": report.total,
         "skipped_boundary": report.skipped_boundary,
@@ -198,7 +184,8 @@ def _build_argparser() -> argparse.ArgumentParser:
                          help="sweep the default grid and compare against direct evaluation")
     solve_p.add_argument("--json", metavar="PATH", default=None,
                          help="write the document to PATH instead of stdout")
-    solve_p.add_argument("--eps", type=float, default=oracle.DEFAULT_EPS,
+    # None stands for oracle.DEFAULT_EPS, read only when --verify runs
+    solve_p.add_argument("--eps", type=float, default=None,
                          help="boundary margin for --verify (default 1e-6)")
     solve_p.add_argument("--strict", action="store_true",
                          help="reject degenerate fractional inequalities instead of "
@@ -224,9 +211,24 @@ def _build_argparser() -> argparse.ArgumentParser:
     return ap
 
 
+def _parse_problem(text: str):
+    """(source expressions, problem, denominator scale) of an inequality text."""
+    from .parser import parse_input
+
+    exprs = parse_input(text)
+    from .normalize import classify_problem_ex  # only once the text parses
+
+    return (exprs, *classify_problem_ex(exprs))
+
+
 def _cmd_solve(args) -> int:
-    exprs = parse_input(args.expr)
-    problem, scale = classify_problem_ex(exprs)
+    exprs, problem, scale = _parse_problem(args.expr)
+    import json
+
+    from .parser import source_to_text
+    from .region import classify
+    from .solver import solve
+
     solution = solve(problem, strict=args.strict)
     doc = {
         "schema": SCHEMA,
@@ -239,14 +241,17 @@ def _cmd_solve(args) -> int:
     }
     status = 0
     if args.verify:
-        report = oracle.verify(problem, solution, eps=args.eps)
+        from . import oracle
+
+        eps = oracle.DEFAULT_EPS if args.eps is None else args.eps
+        report = oracle.verify(problem, solution, eps=eps)
         doc["verification"] = verification_to_json(report)
         if not report.passed:
             status = 2
             if not report.mismatches:
                 sys.stderr.write(f"lexineq: verify asserted no probe: all "
                                  f"{report.skipped_boundary} non-pole probes lie within "
-                                 f"eps={args.eps!r} of the boundary\n")
+                                 f"eps={eps!r} of the boundary\n")
     payload = json.dumps(doc, indent=2) + "\n"
     if args.json:
         with open(args.json, "w", encoding="utf-8", newline="\n") as fh:
@@ -257,8 +262,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    exprs = parse_input(args.expr)
-    problem, _ = classify_problem_ex(exprs)
+    _, problem, _ = _parse_problem(args.expr)
+    from . import oracle
+    from .parser import parse_complex
+
     point = parse_complex(args.at)
     result = oracle.eval_direct(problem, point)
     sys.stdout.write(result.name.lower() + "\n")
@@ -266,8 +273,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_raster(args) -> int:
-    exprs = parse_input(args.expr)
-    problem, _ = classify_problem_ex(exprs)
+    _, problem, _ = _parse_problem(args.expr)
+    from . import oracle
+
     re_min, re_max, im_min, im_max = args.window
     nx, ny = args.res
     grid = oracle.GridSpec(re_min, re_max, im_min, im_max, nx, ny)
@@ -285,6 +293,8 @@ def _cmd_raster(args) -> int:
 
 def _cmd_laws(args) -> int:
     # laws samples with numpy; importing it here keeps solve and check free of numpy
+    import json
+
     from .laws import as_expected, check_all
 
     reports = check_all(samples=args.samples, seed=args.seed)
@@ -309,7 +319,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "raster":
             return _cmd_raster(args)
         return _cmd_laws(args)
-    except (LexineqError, ParseError, ValueError, ZeroDivisionError, OSError) as exc:
+    except (lexineq.LexineqError, ValueError, ZeroDivisionError, OSError) as exc:
         sys.stderr.write(f"lexineq: error: {exc}\n")
         return 1
 

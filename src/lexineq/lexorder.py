@@ -8,6 +8,11 @@ is total, but it is *not* compatible with complex multiplication -- see
 Coordinates are plain binary floats and every comparison is exact: the
 order is discontinuous by nature, and any epsilon-based comparison would
 break antisymmetry.
+
+:class:`Membership`, the three-valued answer of a region or inequality
+at a point, is defined here, next to :class:`Ordering`, so that the
+oracle and the solver share it without importing each other;
+``lexineq.region`` re-exports it.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from ._record import record
 
 __all__ = [
     "Ordering",
+    "Membership",
     "Polar",
     "lex_cmp",
     "lex_le",
@@ -36,6 +42,18 @@ class Ordering(IntEnum):
     LESS = -1
     EQUAL = 0
     GREATER = 1
+
+
+class Membership(IntEnum):
+    """Pointwise truth of a region or inequality at a probe point.
+
+    ``POLE`` marks points where evaluation hits a division by zero.
+    The integer values double as raster cell codes.
+    """
+
+    OUT = _kernels.OUT
+    POLE = _kernels.POLE
+    IN = _kernels.IN
 
 
 def require_finite(z: complex, what: str = "value") -> complex:

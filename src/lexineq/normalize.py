@@ -7,22 +7,97 @@ degree >= 2 is rejected as unsupported rather than "simplified" with
 fragile float arithmetic.  All coefficient arithmetic is plain complex
 field arithmetic, so inputs with dyadic-rational literals normalize
 exactly.
+
+The four problem classes are defined here, where they are built;
+``lexineq.solver`` re-exports them.  So classifying an input loads
+neither the solver nor the region algebra.
 """
 
 from __future__ import annotations
 
 import math
 
+from ._record import record
 from .errors import UnsupportedFormError
-from .lexorder import complex_div
+from .lexorder import complex_div, require_finite
 from .parser import Add, Div, Expr, Lit, Mul, Neg, Pow, SourceExpr, Sub, Var
-from .solver import Fractional, InequalityProblem, Linear, LinearSystem, Quadratic
 
 TYPE_CHECKING = False  # type checkers read it as True; saves importing typing
 if TYPE_CHECKING:
     from collections.abc import Sequence
 
-__all__ = ["classify_problem", "classify_problem_ex", "problem_kind"]
+__all__ = [
+    "Linear",
+    "LinearSystem",
+    "Fractional",
+    "Quadratic",
+    "InequalityProblem",
+    "classify_problem",
+    "classify_problem_ex",
+    "problem_kind",
+]
+
+
+@record
+class Linear:
+    """A*Z - B >= 0."""
+
+    a: complex
+    b: complex
+
+    def __post_init__(self):
+        require_finite(self.a, "coefficient a")
+        require_finite(self.b, "coefficient b")
+
+
+@record
+class LinearSystem:
+    """A*Z - B >= 0 and C*Z - D >= 0."""
+
+    a: complex
+    b: complex
+    c: complex
+    d: complex
+
+    def __post_init__(self):
+        for name in ("a", "b", "c", "d"):
+            require_finite(getattr(self, name), f"coefficient {name}")
+
+
+@record
+class Fractional:
+    """(A*Z + B) / (Z + C) >= D.
+
+    The solvable case needs B - A*C != 0; the degenerate case (the
+    expression is constant where defined) is accepted here and handled
+    by :func:`lexineq.solver.solve_fractional`.
+    """
+
+    a: complex
+    b: complex
+    c: complex
+    d: complex
+
+    def __post_init__(self):
+        for name in ("a", "b", "c", "d"):
+            require_finite(getattr(self, name), f"coefficient {name}")
+
+
+@record
+class Quadratic:
+    """A*Z^2 + B*Z + C >= 0 with A != 0."""
+
+    a: complex
+    b: complex
+    c: complex
+
+    def __post_init__(self):
+        for name in ("a", "b", "c"):
+            require_finite(getattr(self, name), f"coefficient {name}")
+
+
+InequalityProblem = Linear | LinearSystem | Fractional | Quadratic
+
 
 _MAX_DEGREE = 64
 

@@ -43,7 +43,9 @@ there.
 numpy is imported by the array functions only (grid axes, points and
 tiles, :class:`Bitmap` writers, :func:`problem_grid`, :func:`verify`,
 :func:`sample_raster`), so :func:`eval_direct`, :func:`boundary_margin`
-and the scalar commands built on them start without it.
+and the scalar commands built on them start without it.  So are the
+region algebra and the solver, which only :func:`verify` and a raster
+of a ``Region`` use: ``lexineq check`` loads neither.
 """
 
 from __future__ import annotations
@@ -53,23 +55,17 @@ import math
 from . import _kernels
 from ._record import record
 from .errors import PoleError
-from .lexorder import require_finite
-from .region import Membership, Region, membership_grid
-from .solver import (
-    Fractional,
-    InequalityProblem,
-    Linear,
-    LinearSystem,
-    Quadratic,
-    SolutionSet,
-    solution_grid_margin,
-)
+from .lexorder import Membership, require_finite
+from .normalize import Fractional, InequalityProblem, Linear, LinearSystem, Quadratic
 
 TYPE_CHECKING = False  # type checkers read it as True; saves importing typing
 if TYPE_CHECKING:
     from collections.abc import Iterator
 
     import numpy as np
+
+    from .region import Region
+    from .solver import SolutionSet
 
 __all__ = [
     "DEFAULT_EPS",
@@ -441,6 +437,8 @@ def verify(problem: InequalityProblem, solution: SolutionSet,
     """
     import numpy as np
 
+    from .solver import solution_grid_margin
+
     if grid is None:
         grid = default_grid()
     if not (eps > 0.0):
@@ -493,10 +491,8 @@ def sample_raster(source: Region | InequalityProblem, grid: GridSpec) -> Bitmap:
     # fill(zr, zi, out) writes the codes of the lanes zr + zi*i, in order,
     # to out: as many cells, of any shape, so that out may be a view of rows
     # of the raster
-    if isinstance(source, Region):
-        def fill(zr, zi, out):
-            out[...] = membership_grid(source, zr, zi).reshape(out.shape)
-    elif isinstance(source, InequalityProblem):
+    bounded = isinstance(source, InequalityProblem)
+    if bounded:
         def fill(zr, zi, out):
             # the real parts decide every lane but those where one is 0 or
             # nan (every pole lane is one); the full values decide those
@@ -513,12 +509,17 @@ def sample_raster(source: Region | InequalityProblem, grid: GridSpec) -> Bitmap:
             values, pole = _problem_lanes(source, zr[idx], zi[idx])
             out.flat[idx] = _grid.codes(_grid.at_least_zero(values), pole)
     else:
-        raise TypeError(f"cannot rasterize {source!r}")
+        from .region import Region, membership_grid  # a raster of a problem needs neither
+
+        if not isinstance(source, Region):
+            raise TypeError(f"cannot rasterize {source!r}")
+
+        def fill(zr, zi, out):
+            out[...] = membership_grid(source, zr, zi).reshape(out.shape)
     nx, ny = grid.nx, grid.ny
     # a piece has at most _TILE_POINTS rows, and at most _TILE_POINTS blocks
     blocks_across = -(-min(nx, _TILE_POINTS) // _BLOCK)
     rows = min(ny, _TILE_POINTS, _TILE_POINTS // blocks_across * _BLOCK)
-    bounded = isinstance(source, InequalityProblem)
     cells = np.empty(nx * ny, dtype=np.uint8)
     view = cells.reshape(ny, nx)
     for r0, c0, xs, ys in _pieces(grid, rows):

@@ -8,17 +8,19 @@ point is replaced by the preimage each transform demands, until the base
 half-plane decides.  This is uniform in all parameter signs, unlike the
 closed-form case analyses, which are kept only for classification and
 as independent cross-checks in the tests.
+
+Membership answers are :class:`lexineq.lexorder.Membership`, re-exported
+here.
 """
 
 from __future__ import annotations
 
 import math
-from enum import IntEnum
 
 from . import _kernels
 from ._record import record
 from .errors import NonPositiveScaleError, PoleError
-from .lexorder import require_finite
+from .lexorder import Membership, require_finite
 
 TYPE_CHECKING = False  # type checkers read it as True; saves importing typing
 if TYPE_CHECKING:
@@ -46,18 +48,6 @@ __all__ = [
     "Generic",
     "RegionClassification",
 ]
-
-
-class Membership(IntEnum):
-    """Pointwise truth of a region or inequality at a probe point.
-
-    ``POLE`` marks points where evaluation hits a division by zero.
-    The integer values double as raster cell codes.
-    """
-
-    OUT = _kernels.OUT
-    POLE = _kernels.POLE
-    IN = _kernels.IN
 
 
 def _finite(x: float, what: str) -> bool:

@@ -12,6 +12,11 @@ of a half-plane; the quadratic solver completes the square and takes
 the two-valued square-root preimage.  No assumption is made about the
 sign or realness of any intermediate quantity: membership is always the
 pullback walk, which is correct for all parameter signs.
+
+The problem classes (:class:`Linear`, :class:`LinearSystem`,
+:class:`Fractional`, :class:`Quadratic` and the union
+``InequalityProblem``) are defined in ``lexineq.normalize``, which
+builds them, and re-exported here.
 """
 
 from __future__ import annotations
@@ -22,10 +27,10 @@ from enum import Enum
 from . import _kernels
 from ._record import record
 from .errors import DegenerateFractionError, ZeroLeadingCoefficientError
-from .lexorder import complex_div, lex_le, polar_decompose, require_finite
+from .lexorder import Membership, complex_div, lex_le, polar_decompose, require_finite
+from .normalize import Fractional, InequalityProblem, Linear, LinearSystem, Quadratic
 from .region import (
     Invert,
-    Membership,
     Region,
     Rotate,
     Sqrt,
@@ -55,67 +60,6 @@ __all__ = [
     "solution_contains",
     "solution_grid",
 ]
-
-
-@record
-class Linear:
-    """A*Z - B >= 0."""
-
-    a: complex
-    b: complex
-
-    def __post_init__(self):
-        require_finite(self.a, "coefficient a")
-        require_finite(self.b, "coefficient b")
-
-
-@record
-class LinearSystem:
-    """A*Z - B >= 0 and C*Z - D >= 0."""
-
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            require_finite(getattr(self, name), f"coefficient {name}")
-
-
-@record
-class Fractional:
-    """(A*Z + B) / (Z + C) >= D.
-
-    The solvable case needs B - A*C != 0; the degenerate case (the
-    expression is constant where defined) is accepted here and handled
-    by :func:`solve_fractional`.
-    """
-
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            require_finite(getattr(self, name), f"coefficient {name}")
-
-
-@record
-class Quadratic:
-    """A*Z^2 + B*Z + C >= 0 with A != 0."""
-
-    a: complex
-    b: complex
-    c: complex
-
-    def __post_init__(self):
-        for name in ("a", "b", "c"):
-            require_finite(getattr(self, name), f"coefficient {name}")
-
-
-InequalityProblem = Linear | LinearSystem | Fractional | Quadratic
 
 
 class SolutionKind(str, Enum):

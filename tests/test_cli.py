@@ -134,7 +134,7 @@ class TestSolve:
             mismatches=(oracle.Mismatch(0j, Membership.IN, Membership.OUT),),
             passed=False,
         )
-        monkeypatch.setattr(cli.oracle, "verify", lambda *a, **k: failing)
+        monkeypatch.setattr("lexineq.oracle.verify", lambda *a, **k: failing)
         status, out, _ = run(capsys, "solve", "Z >= 0", "--verify")
         assert status == 2
         doc = json.loads(out)

@@ -17,9 +17,40 @@ def test_module_all_resolves(name):
     assert missing == []
 
 
-def test_lazy_laws_names_resolve():
-    missing = [n for n in sorted(lexineq._LAWS_NAMES) if not hasattr(lexineq, n)]
-    assert missing == []
+# The names ``import lexineq`` bound when the package imported its modules
+# eagerly: the lazy table must keep every one of them.
+PACKAGE_NAMES = {
+    "DegenerateFractionError", "LexineqError", "MultipleVariablesError",
+    "NonIntegerExponentError", "NonPositiveScaleError", "ParseError", "PoleError",
+    "UnknownLawError", "UnsupportedFormError", "ZeroLeadingCoefficientError",
+    "Ordering", "Polar", "complex_div", "lex_cmp", "lex_ge", "lex_le", "polar_decompose",
+    "Disc", "Generic", "HyperbolaDomain", "Invert", "Membership", "ObliqueHalfPlane",
+    "Region", "Rotate", "Scale", "Sqrt", "Translate", "VerticalHalfPlane",
+    "apply_transform", "classify", "contains", "membership_grid",
+    "Fractional", "InequalityProblem", "Linear", "LinearSystem", "Quadratic",
+    "SolutionKind", "SolutionSet", "solution_contains", "solution_grid", "solve",
+    "solve_fractional", "solve_linear", "solve_linear_system", "solve_quadratic",
+    "DEFAULT_EPS", "Bitmap", "GridSpec", "VerificationReport", "boundary_margin",
+    "default_grid", "eval_direct", "sample_raster", "verify",
+    "classify_problem",
+    "SourceExpr", "eval_expr", "parse", "parse_complex", "parse_input", "to_text",
+    "LAW_IDS", "LawReport", "check_all", "check_law", "recheck",
+}
+
+
+def test_package_table_holds_every_package_name():
+    assert PACKAGE_NAMES <= set(lexineq._HOME)
+    assert set(lexineq.__all__) == set(lexineq._HOME)
+    assert set(lexineq._HOME) <= set(dir(lexineq))
+
+
+@pytest.mark.parametrize("name", sorted(lexineq._HOME))
+def test_package_name_resolves_to_its_home(name):
+    home = importlib.import_module(f"lexineq.{lexineq._HOME[name]}")
+    value = getattr(lexineq, name)
+    assert value is getattr(home, name)
+    if isinstance(value, type) or callable(value):
+        assert value.__module__ == home.__name__  # defined there, not re-exported
 
 
 def test_every_module_is_checked():

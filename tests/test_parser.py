@@ -299,6 +299,9 @@ def _chain(op: str, terms: int) -> str:
     return op.join(["Z"] * terms) + " >= 1"
 
 
+_NODE = {"+": "Add", "-": "Sub", "*": "Mul", "/": "Div"}
+
+
 class TestChainLimit:
     """A flat chain of binary operators counts one tree level per operator."""
 
@@ -306,12 +309,18 @@ class TestChainLimit:
     def test_chain_at_limit_parses(self, op):
         src = parse(_chain(op, HEIGHT))
         eval_expr(src.lhs, 0.5 + 0.25j)
-        # a left-deep chain prints without parentheses, and re-parses; the
-        # trees are compared by printing, since == on trees this deep
-        # exceeds the recursion limit
+        # a left-deep chain prints without parentheses, and re-parses to
+        # an equal tree
         printed = source_to_text(src)
         assert printed == f" {op} ".join(["Z"] * HEIGHT) + " >= 1.0"
-        assert source_to_text(parse(printed)) == printed
+        again = parse(printed)  # its text differs, so compare the sides
+        assert (again.lhs, again.rhs) == (src.lhs, src.rhs)
+        assert hash(again.lhs) == hash(src.lhs)
+        # the innermost operand differs, so == must reach the bottom
+        other = parse("1" + _chain(op, HEIGHT)[1:]).lhs
+        assert other != src.lhs and not (other == src.lhs)
+        assert repr(src.lhs) == (f"{_NODE[op]}(lhs=" * (HEIGHT - 1) + "Var()"
+                                 + ", rhs=Var())" * (HEIGHT - 1))
 
     @pytest.mark.parametrize("text", [
         _chain("+", HEIGHT),
