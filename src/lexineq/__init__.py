@@ -1,7 +1,7 @@
 """lexineq: a dictionary (lexicographic) total order on the complex
 plane, a region-transform algebra over its half-planes, and closed-form
-solvers for four classes of complex inequalities, verified against a
-brute-force membership oracle.
+solvers for three classes of complex inequalities and systems of them,
+verified against a brute-force membership oracle.
 """
 
 import importlib
@@ -24,7 +24,7 @@ _EXPORTS = {
     ),
     "parser": ("SourceExpr", "eval_expr", "parse", "parse_complex", "parse_input", "to_text"),
     "normalize": (
-        "Fractional", "InequalityProblem", "Linear", "LinearSystem", "Quadratic",
+        "Fractional", "InequalityProblem", "Linear", "Quadratic", "System",
         "classify_problem",
     ),
     "region": (
@@ -34,7 +34,7 @@ _EXPORTS = {
     ),
     "solver": (
         "SolutionKind", "SolutionSet", "solution_contains", "solution_grid", "solve",
-        "solve_fractional", "solve_linear", "solve_linear_system", "solve_quadratic",
+        "solve_fractional", "solve_linear", "solve_quadratic",
     ),
     "oracle": (
         "DEFAULT_EPS", "Bitmap", "GridSpec", "VerificationReport", "boundary_margin",

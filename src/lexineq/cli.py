@@ -15,6 +15,8 @@ line (argparse's usage error).
 All outputs are deterministic for fixed inputs and seed: dictionaries
 are emitted in fixed order and floats as their shortest round-trippable
 decimals.
+A system's problem document is ``linear-system`` with ``a, b, c, d``
+for two linear constraints, else ``system`` with its ``constraints``.
 """
 
 from __future__ import annotations
@@ -90,28 +92,32 @@ def region_from_json(doc: dict) -> Region:
 
 
 def problem_to_json(problem) -> dict:
-    doc = {"kind": lexineq.normalize.problem_kind(problem)}
+    kind = lexineq.normalize.problem_kind(problem)
+    if kind == "system":
+        return {"kind": kind, "constraints": [problem_to_json(c) for c in problem.constraints]}
+    if kind == "linear-system":
+        first, second = (problem_to_json(c) for c in problem.constraints)
+        return {"kind": kind, "a": first["a"], "b": first["b"], "c": second["a"], "d": second["b"]}
+    doc = {"kind": kind}
     for name in problem._fields:
         doc[name] = complex_to_json(getattr(problem, name))
     return doc
 
 
+_CLASSIFICATION_KINDS = {  # by the name of the classification's class
+    "VerticalHalfPlane": "vertical-half-plane", "ObliqueHalfPlane": "oblique-half-plane",
+    "Disc": "disc", "HyperbolaDomain": "hyperbola-domain", "Generic": "generic"}
+
+
 def classification_to_json(c) -> dict:
-    if isinstance(c, lexineq.VerticalHalfPlane):
-        return {"kind": "vertical-half-plane", "boundary_re": c.boundary_re,
-                "boundary_note": c.boundary_note}
-    if isinstance(c, lexineq.ObliqueHalfPlane):
-        return {"kind": "oblique-half-plane", "normal_angle": c.normal_angle,
-                "offset": c.offset, "boundary_note": c.boundary_note}
-    if isinstance(c, lexineq.Disc):
-        return {"kind": "disc", "center": complex_to_json(c.center), "radius": c.radius,
-                "boundary_note": c.boundary_note}
-    if isinstance(c, lexineq.HyperbolaDomain):
-        return {"kind": "hyperbola-domain", "a1": c.a1, "connected": c.connected,
-                "contains_origin": c.contains_origin, "boundary_note": c.boundary_note}
-    if isinstance(c, lexineq.Generic):
-        return {"kind": "generic", "boundary_note": c.boundary_note}
-    raise TypeError(f"not a classification: {c!r}")
+    name = type(c).__name__
+    if name not in _CLASSIFICATION_KINDS or type(c) is not getattr(lexineq, name):
+        raise TypeError(f"not a classification: {c!r}")
+    doc = {"kind": _CLASSIFICATION_KINDS[name]}
+    for field in c._fields:
+        value = getattr(c, field)
+        doc[field] = complex_to_json(value) if isinstance(value, complex) else value
+    return doc
 
 
 def solution_to_json(solution) -> dict:

@@ -26,7 +26,7 @@ class NonIntegerExponentError(ParseError):
 
 
 class UnsupportedFormError(LexineqError):
-    """The normalized inequality is outside the four solvable classes."""
+    """The normalized inequality is outside the solvable classes."""
 
 
 class UnknownLawError(LexineqError):

@@ -22,8 +22,9 @@ reduces the computed values to membership codes alone, on three levels:
    operand, so it is bounded by its values at its operands' ends; a
    division only by a range without 0.  A block is in when every
    constraint's bounds are finite and > 0, and out when some
-   constraint's are finite and < 0: the codes its cells would get lane
-   by lane, bit for bit.  A nan or inf bound keeps a block open.
+   constraint's are finite and < 0 and none's are nan (a fraction's pole
+   cell is a pole whatever the others say): the codes its cells would
+   get lane by lane, bit for bit.  A nan or inf bound keeps a block open.
 2. The cells of the other blocks are decided on the real parts of
    their values, as the dictionary order does.
 3. The imaginary parts and the pole mask are computed only on the few
@@ -56,7 +57,7 @@ from . import _kernels
 from ._record import record
 from .errors import PoleError
 from .lexorder import Membership, require_finite
-from .normalize import Fractional, InequalityProblem, Linear, LinearSystem, Quadratic
+from .normalize import Fractional, InequalityProblem, Linear, Quadratic, System
 
 TYPE_CHECKING = False  # type checkers read it as True; saves importing typing
 if TYPE_CHECKING:
@@ -314,18 +315,17 @@ def _parts(*coefficients: complex) -> list[float]:
 
 
 def _constraint_values(problem: InequalityProblem, zr, zi, div) -> tuple:
-    """Left-hand value(s) ``(re, im)`` of the inequality at z = zr + zi*i.
+    """The left-hand value ``(re, im)`` of each constraint at z = zr + zi*i, in order.
 
     Runs unchanged on floats and on float64 arrays, with ``div`` the
     matching complex division (``_kernels.cdiv`` or ``_grid.cdiv``); the
-    caller handles the fraction's pole.  Consults only complex
-    arithmetic, never the region or solver machinery.
+    caller handles the fractions' poles (:func:`_pole`).  Consults only
+    complex arithmetic, never the region or solver machinery.
     """
     if isinstance(problem, Linear):
         return (_kernels.linear_value(*_parts(problem.a, problem.b), zr, zi),)
-    if isinstance(problem, LinearSystem):
-        return (_kernels.linear_value(*_parts(problem.a, problem.b), zr, zi),
-                _kernels.linear_value(*_parts(problem.c, problem.d), zr, zi))
+    if isinstance(problem, System):
+        return tuple(v for c in problem.constraints for v in _constraint_values(c, zr, zi, div))
     if isinstance(problem, Fractional):
         parts = _parts(problem.a, problem.b, problem.c, problem.d)
         return (_kernels.fractional_value(*parts, zr, zi, div),)
@@ -340,9 +340,8 @@ def _constraint_reals(problem: InequalityProblem, zr, zi, div_real) -> tuple:
     bounds on ``_grid.Box`` ranges with ``_grid.box_cdiv_real``."""
     if isinstance(problem, Linear):
         return (_kernels.linear_real(*_parts(problem.a), problem.b.real, zr, zi),)
-    if isinstance(problem, LinearSystem):
-        return (_kernels.linear_real(*_parts(problem.a), problem.b.real, zr, zi),
-                _kernels.linear_real(*_parts(problem.c), problem.d.real, zr, zi))
+    if isinstance(problem, System):
+        return tuple(v for c in problem.constraints for v in _constraint_reals(c, zr, zi, div_real))
     if isinstance(problem, Fractional):
         parts = _parts(problem.a, problem.b, problem.c)
         return (_kernels.fractional_real(*parts, problem.d.real, zr, zi, div_real),)
@@ -352,9 +351,23 @@ def _constraint_reals(problem: InequalityProblem, zr, zi, div_real) -> tuple:
     raise TypeError(f"not an inequality problem: {problem!r}")
 
 
+def _pole(problem: InequalityProblem, zr, zi):
+    """Where a fraction's divisor z + C is 0, any of a system's: a bool at
+    floats, a lane mask on arrays; None when the problem holds no fraction."""
+    if isinstance(problem, Fractional):
+        return (zr + problem.c.real == 0.0) & (zi + problem.c.imag == 0.0)
+    pole = None
+    if isinstance(problem, System):
+        for c in problem.constraints:
+            p = _pole(c, zr, zi)
+            if p is not None:
+                pole = p if pole is None else pole | p
+    return pole
+
+
 def _values(problem: InequalityProblem, z: complex) -> tuple[complex, ...]:
     """Left-hand value(s) of the inequality at z; PoleError at a pole."""
-    if isinstance(problem, Fractional) and z + problem.c == 0:
+    if _pole(problem, z.real, z.imag):
         raise PoleError(f"pole of the fraction at z = {z!r}")
     values = _constraint_values(problem, z.real, z.imag, _kernels.cdiv)
     return tuple(complex(vr, vi) for vr, vi in values)
@@ -381,7 +394,7 @@ def boundary_margin(problem: InequalityProblem, z: complex) -> float:
     """Margin of the component that decides the comparison with 0.
 
     |Re v| unless Re v is exactly 0, else |Im v| (the tie margin); for a
-    system, the smallest margin over both constraints.  This is the
+    system, the smallest margin over its constraints.  This is the
     margin :func:`problem_grid` reports and :func:`verify` skips on.
     Raises PoleError at a pole.
     """
@@ -414,11 +427,7 @@ def _problem_lanes(problem: InequalityProblem, zr: np.ndarray, zi: np.ndarray):
     """Constraint values at float64 lanes, and the pole mask (None if no pole)."""
     from . import _grid
 
-    values = _constraint_values(problem, zr, zi, _grid.cdiv)
-    pole = None
-    if isinstance(problem, Fractional):
-        pole = (zr + problem.c.real == 0.0) & (zi + problem.c.imag == 0.0)
-    return values, pole
+    return _constraint_values(problem, zr, zi, _grid.cdiv), _pole(problem, zr, zi)
 
 
 def verify(problem: InequalityProblem, solution: SolutionSet,
@@ -467,7 +476,7 @@ def verify(problem: InequalityProblem, solution: SolutionSet,
         skipped_boundary=skipped_boundary,
         skipped_pole=skipped_pole,
         mismatches=tuple(mismatches),
-        # some probe asserted; a grid has 4 probes or more, a fraction one pole
+        # some probe asserted
         passed=not mismatches and skipped_boundary + skipped_pole < total,
     )
 
@@ -604,24 +613,27 @@ def _block_codes(problem: InequalityProblem, x, y) -> np.ndarray:
     The blocks are the boxes ``x`` times ``y``, ``(lo, hi)`` ranges of
     arrays that broadcast together.  A block is IN when every constraint's
     real part has finite bounds ``lo > 0``, and OUT when some constraint's has
-    finite bounds ``hi < 0``: then every real part is > 0 at every lane,
-    or some constraint's is < 0 at every lane, which is what
-    :func:`_grid.decide_real` finds lane by lane.  Any other block, a nan
-    or inf bound included, is undecided.
+    finite bounds ``hi < 0`` and none's are nan: then every real part is
+    > 0 at every lane, or some constraint's is < 0 at every lane and no
+    lane is a pole (a pole's divisor range holds 0, so its bounds are
+    nan), which is what :func:`_grid.decide_real` and the pole mask find
+    lane by lane.  Any other block, a nan or inf bound included, is undecided.
     """
     import numpy as np
 
     from . import _grid
 
-    inside = outside = None
+    inside = outside = held = None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for real in _constraint_reals(problem, _grid.Box(*x), _grid.Box(*y),
                                       _grid.box_cdiv_real):
             positive = (real.lo > 0.0) & (real.hi < np.inf)
             negative = (real.hi < 0.0) & (real.lo > -np.inf)
+            nan = np.isnan(real.lo)
             inside = positive if inside is None else inside & positive
             outside = negative if outside is None else outside | negative
+            held = nan if held is None else held | nan
     codes = np.full(inside.shape, _UNDECIDED, dtype=np.uint8)
     codes[inside] = _kernels.IN
-    codes[outside] = _kernels.OUT
+    codes[outside & ~held] = _kernels.OUT
     return codes

@@ -13,8 +13,9 @@ imaginary unit.  Complex literals may be written ``a``, ``bi`` or
 ``(a+bi)``; the parenthesized form (optionally with a leading minus on
 either part) is folded into a single literal node, so printing a parsed
 tree and re-parsing it reproduces the tree exactly.  A ``<=`` input is
-normalized to ``>=`` by swapping the sides.  Two inequalities joined by
-``&&`` form a system; :func:`parse_input` accepts both shapes.
+normalized to ``>=`` by swapping the sides.  Up to ``MAX_SYSTEM``
+inequalities joined by ``&&`` form a system; :func:`parse_input` accepts
+one inequality or a system.
 Parentheses and unary minus nest at most ``_Parser.MAX_DEPTH`` levels
 deep (a parenthesized literal's sign is no level), the expression tree
 of each side is at most ``_Parser.MAX_HEIGHT`` nodes from root to leaf
@@ -35,7 +36,7 @@ from .lexorder import complex_div
 __all__ = [
     "Lit", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Expr", "SourceExpr",
     "parse", "parse_input", "parse_complex", "to_text", "source_to_text", "eval_expr",
-    "has_var", "MAX_EXPONENT",
+    "has_var", "MAX_EXPONENT", "MAX_SYSTEM",
 ]
 
 # Largest exponent literal.  No polynomial the normalizer accepts has a
@@ -44,6 +45,9 @@ __all__ = [
 # below 2.  The cap bounds the multiply loops in normalization and
 # evaluation, which run ``exponent - 1`` times.
 MAX_EXPONENT = 1024
+
+# Most inequalities that '&&' may join into one system.
+MAX_SYSTEM = 8
 
 
 @record
@@ -171,10 +175,10 @@ class _Parser:
         pos = (tok or self.tokens[self.i])[2]
         raise cls(message, _byte_offset(self.text, pos))
 
-    def _expect_end(self, message: str | None = None):
+    def _expect_end(self):
         kind, tail, _ = self.tokens[self.i]
         if kind != "end":
-            self._error(message or f"unexpected trailing input {tail!r}")
+            self._error(f"unexpected trailing input {tail!r}")
 
     def _expect_op(self, op: str):
         tok = self.tokens[self.i]
@@ -351,22 +355,22 @@ def parse(text: str) -> SourceExpr:
     parser = _Parser(text)
     result = parser.parse_inequality()
     if parser.tokens[parser.i][0] == "and":
-        parser._error("'&&' joins two inequalities; use parse_input for systems")
+        parser._error("'&&' joins inequalities into a system; use parse_input for systems")
     parser._expect_end()
     return result
 
 
 def parse_input(text: str) -> tuple[SourceExpr, ...]:
-    """Parse one inequality, or two joined by '&&'."""
+    """Parse one inequality, or up to ``MAX_SYSTEM`` joined by '&&'."""
     parser = _Parser(text)
-    first = parser.parse_inequality()
-    if parser.tokens[parser.i][0] != "and":
-        parser._expect_end()
-        return (first,)
-    parser.i += 1
-    second = parser.parse_inequality()
-    parser._expect_end("at most two inequalities may be joined by '&&'")
-    return (first, second)
+    system = [parser.parse_inequality()]
+    while parser.tokens[parser.i][0] == "and":
+        if len(system) == MAX_SYSTEM:
+            parser._error(f"at most {MAX_SYSTEM} inequalities may be joined by '&&'")
+        parser.i += 1
+        system.append(parser.parse_inequality())
+    parser._expect_end()
+    return tuple(system)
 
 
 def parse_complex(text: str) -> complex:

@@ -1,4 +1,4 @@
-"""Closed-form solvers for the four inequality classes.
+"""Closed-form solvers for the inequality classes.
 
 Each solver returns a :class:`SolutionSet` whose region chain follows
 the derivation step for step, so the emitted JSON can be read against
@@ -11,9 +11,10 @@ and un-rotates its phase; the fractional solver reduces to an inversion
 of a half-plane; the quadratic solver completes the square and takes
 the two-valued square-root preimage.  No assumption is made about the
 sign or realness of any intermediate quantity: membership is always the
-pullback walk, which is correct for all parameter signs.
+pullback walk, which is correct for all parameter signs.  A
+:class:`System`'s solution is the intersection of its members'.
 
-The problem classes (:class:`Linear`, :class:`LinearSystem`,
+The problem classes (:class:`Linear`, :class:`System`,
 :class:`Fractional`, :class:`Quadratic` and the union
 ``InequalityProblem``) are defined in ``lexineq.normalize``, which
 builds them, and re-exported here.
@@ -28,7 +29,7 @@ from . import _kernels
 from ._record import record
 from .errors import DegenerateFractionError, ZeroLeadingCoefficientError
 from .lexorder import Membership, complex_div, lex_le, polar_decompose, require_finite
-from .normalize import Fractional, InequalityProblem, Linear, LinearSystem, Quadratic
+from .normalize import Fractional, InequalityProblem, Linear, Quadratic, System
 from .region import (
     Invert,
     Region,
@@ -46,7 +47,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "Linear",
-    "LinearSystem",
+    "System",
     "Fractional",
     "Quadratic",
     "InequalityProblem",
@@ -54,7 +55,6 @@ __all__ = [
     "SolutionSet",
     "solve",
     "solve_linear",
-    "solve_linear_system",
     "solve_fractional",
     "solve_quadratic",
     "solution_contains",
@@ -137,19 +137,6 @@ def solve_linear(a: complex, b: complex) -> SolutionSet:
     return SolutionSet.single(region)
 
 
-def solve_linear_system(a: complex, b: complex, c: complex, d: complex) -> SolutionSet:
-    """Solve A*Z - B >= 0 and C*Z - D >= 0 as an intersection."""
-    first = solve_linear(a, b)
-    second = solve_linear(c, d)
-    if first.kind is SolutionKind.EMPTY or second.kind is SolutionKind.EMPTY:
-        return SolutionSet.empty(note="one constraint is constantly false")
-    if first.kind is SolutionKind.ALL:
-        return second
-    if second.kind is SolutionKind.ALL:
-        return first
-    return SolutionSet.intersection(first.regions + second.regions)
-
-
 def solve_fractional(a: complex, b: complex, c: complex, d: complex,
                      strict: bool = False) -> SolutionSet:
     """Solve (A*Z + B) / (Z + C) >= D.
@@ -218,11 +205,25 @@ def solve_quadratic(a: complex, b: complex, c: complex) -> SolutionSet:
 
 
 def solve(problem: InequalityProblem, strict: bool = False) -> SolutionSet:
-    """Dispatch a classified problem to its solver."""
+    """Dispatch a classified problem to its solver.
+
+    A system intersects its members' solutions: a constantly false one
+    empties it, one that always holds drops out (if all do, the last one
+    is the answer), and every member's poles are excluded, each once.
+    """
     if isinstance(problem, Linear):
         return solve_linear(problem.a, problem.b)
-    if isinstance(problem, LinearSystem):
-        return solve_linear_system(problem.a, problem.b, problem.c, problem.d)
+    if isinstance(problem, System):
+        solutions = [solve(c, strict) for c in problem.constraints]
+        poles = tuple(dict.fromkeys(p for s in solutions for p in s.excluded_points))
+        if any(s.kind is SolutionKind.EMPTY for s in solutions):
+            return SolutionSet.empty(poles, note="one constraint is constantly false")
+        regions = [r for s in solutions for r in s.regions]
+        if not regions:
+            return SolutionSet.universe(poles, solutions[-1].note)
+        if len(regions) == 1:
+            return SolutionSet.single(regions[0], poles)
+        return SolutionSet.intersection(regions, poles)
     if isinstance(problem, Fractional):
         return solve_fractional(problem.a, problem.b, problem.c, problem.d, strict=strict)
     if isinstance(problem, Quadratic):

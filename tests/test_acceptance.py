@@ -37,9 +37,9 @@ from lexineq.region import (
 from lexineq.solver import (
     Fractional,
     Linear,
-    LinearSystem,
     Quadratic,
     SolutionSet,
+    System,
     solution_grid,
     solve,
     solve_quadratic,
@@ -53,7 +53,7 @@ def warm_kernels():
     """Run every grid path once, outside the timed sections."""
     g = GridSpec(-1, 1, -1, 1, 3, 3)
     zr, zi = g.points()
-    for p in (Linear(1 + 0j, 0j), LinearSystem(1 + 0j, 0j, 1j, 0j),
+    for p in (Linear(1 + 0j, 0j), System((Linear(1 + 0j, 0j), Linear(1j, 0j))),
               Fractional(0j, 1 + 0j, 0j, 1 + 0j), Quadratic(1 + 0j, 0j, 0j)):
         verify(p, solve(p), g)
     region = Region(0j, (Rotate(1.0), Scale(2.0), Translate(1j), Invert(), Sqrt()))
@@ -224,8 +224,8 @@ def test_criterion_6_solver_oracle_equivalence():
             if cls == "linear":
                 problem = Linear(_uniform_complex(rng), _uniform_complex(rng))
             elif cls == "system":
-                problem = LinearSystem(_uniform_complex(rng), _uniform_complex(rng),
-                                       _uniform_complex(rng), _uniform_complex(rng))
+                problem = System((Linear(_uniform_complex(rng), _uniform_complex(rng)),
+                                  Linear(_uniform_complex(rng), _uniform_complex(rng))))
             elif cls == "fractional":
                 while True:
                     a, b, c = (_uniform_complex(rng) for _ in range(3))

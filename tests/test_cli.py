@@ -45,6 +45,31 @@ class TestSolve:
         assert len(doc["solution"]["regions"]) == 2
         assert len(doc["classification"]) == 2
 
+    def test_mixed_system(self, capsys):
+        status, out, _ = run(capsys, "solve", "Z >= 0 && 1/(2*Z - 2) >= 1 && Z >= -1",
+                             "--verify")
+        assert status == 0
+        doc = json.loads(out)
+        assert doc["normalized_input"] == "Z >= 0.0 && 1.0 / (2.0 * Z - 2.0) >= 1.0 && Z >= -1.0"
+        problem = doc["problem"]
+        assert list(problem) == ["kind", "constraints"] and problem["kind"] == "system"
+        assert [list(c) for c in problem["constraints"]] == [
+            ["kind", "a", "b"], ["kind", "a", "b", "c", "d"], ["kind", "a", "b"]]
+        assert [c["kind"] for c in problem["constraints"]] == ["linear", "fractional", "linear"]
+        assert problem["constraints"][1]["c"] == {"re": -1.0, "im": 0.0}
+        assert doc["denominator_scale"] is None  # the fraction's own scale is 2
+        assert doc["solution"]["excluded_points"] == [{"re": 1.0, "im": 0.0}]
+        assert len(doc["classification"]) == 3
+        assert doc["verification"]["passed"] and doc["verification"]["skipped_pole"] == 1
+
+    def test_strict_system(self, capsys):
+        text = "Z >= 0 && (Z + 1)/(Z + 1) >= 0"
+        status, out, err = run(capsys, "solve", text, "--strict")
+        assert (status, out) == (1, "") and "B - A*C = 0" in err
+        status, out, _ = run(capsys, "solve", text)
+        assert status == 0
+        assert json.loads(out)["solution"]["excluded_points"] == [{"re": -1.0, "im": 0.0}]
+
     def test_json_file_output(self, capsys, tmp_path):
         path = tmp_path / "doc.json"
         status, out, _ = run(capsys, "solve", "Z >= 1", "--json", str(path))

@@ -18,7 +18,8 @@ def test_module_all_resolves(name):
 
 
 # The names ``import lexineq`` bound when the package imported its modules
-# eagerly: the lazy table must keep every one of them.
+# eagerly, with ``System`` in place of the deleted ``LinearSystem`` and
+# ``solve_linear_system``: the lazy table must keep every one of them.
 PACKAGE_NAMES = {
     "DegenerateFractionError", "LexineqError", "MultipleVariablesError",
     "NonIntegerExponentError", "NonPositiveScaleError", "ParseError", "PoleError",
@@ -27,9 +28,9 @@ PACKAGE_NAMES = {
     "Disc", "Generic", "HyperbolaDomain", "Invert", "Membership", "ObliqueHalfPlane",
     "Region", "Rotate", "Scale", "Sqrt", "Translate", "VerticalHalfPlane",
     "apply_transform", "classify", "contains", "membership_grid",
-    "Fractional", "InequalityProblem", "Linear", "LinearSystem", "Quadratic",
+    "Fractional", "InequalityProblem", "Linear", "Quadratic", "System",
     "SolutionKind", "SolutionSet", "solution_contains", "solution_grid", "solve",
-    "solve_fractional", "solve_linear", "solve_linear_system", "solve_quadratic",
+    "solve_fractional", "solve_linear", "solve_quadratic",
     "DEFAULT_EPS", "Bitmap", "GridSpec", "VerificationReport", "boundary_margin",
     "default_grid", "eval_direct", "sample_raster", "verify",
     "classify_problem",

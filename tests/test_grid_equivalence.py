@@ -24,6 +24,7 @@ from lexineq.oracle import (
     eval_direct,
     problem_grid,
     sample_raster,
+    verify,
 )
 from lexineq.region import (
     Invert,
@@ -41,9 +42,9 @@ from lexineq.region import (
 from lexineq.solver import (
     Fractional,
     Linear,
-    LinearSystem,
     Quadratic,
     SolutionSet,
+    System,
     solution_contains,
     solution_grid,
     solution_grid_margin,
@@ -54,7 +55,7 @@ PROBLEMS = {
     "linear": Linear(1.5 - 2j, 0.25 + 1j),
     "linear-all": Linear(0j, -1 + 0j),
     "linear-empty": Linear(0j, 1 + 0j),
-    "system": LinearSystem(1 + 2j, 0.5j, -1 + 0.25j, 2 + 0j),
+    "system": System((Linear(1 + 2j, 0.5j), Linear(-1 + 0.25j, 2 + 0j))),
     "fractional": Fractional(1 + 1j, 3 + 0j, -1 + 0j, 0.5j),  # pole at z = 1
     "fractional-pole-at-0": Fractional(0j, 1 + 0j, 0j, 1 + 0j),
     "fractional-degenerate": Fractional(1 + 0j, 1 + 0j, 1 + 0j, 0j),  # pole at z = -1
@@ -248,7 +249,7 @@ TIED = {
     "fractional-pole-at-0": Fractional(0j, 1 + 0j, 0j, 0j),  # 1/z: Re v = 0 on Re z = 0
     "fractional-pole-on-lattice": Fractional(2 + 0j, -1 + 0j, -1 + 1j, 2 + 0j),  # pole at 1 - i
     # the first constraint ties on Re z = 1/2, where the second decides both ways
-    "system": LinearSystem(1 + 0j, 0.5 + 0.5j, 1j, -1 + 0j),
+    "system": System((Linear(1 + 0j, 0.5 + 0.5j), Linear(1j, -1 + 0j))),
 }
 
 
@@ -271,7 +272,7 @@ class TestUndecidedLanes:
                    for t, (_, vi) in zip(tied, values))
         if isinstance(problem, Fractional):
             assert np.count_nonzero(pole) == 1 and cells[pole] == Membership.POLE
-        if isinstance(problem, LinearSystem):
+        if isinstance(problem, System):
             (_, _), (vr2, _) = values
             assert np.any(tied[0] & (vr2 > 0.0)) and np.any(tied[0] & (vr2 < 0.0))
 
@@ -344,7 +345,7 @@ def _wide_problem(rng, kind):
     if kind == "linear":
         return Linear(c[0], c[1])
     if kind == "system":
-        return LinearSystem(*c)
+        return System((Linear(c[0], c[1]), Linear(c[2], c[3])))
     if kind == "fractional":
         return Fractional(*c)
     return Quadratic(c[0], c[1], c[2])
@@ -420,8 +421,8 @@ class TestBlockDecision:
         seen = set()
         for _ in range(30):
             c = [complex(*(rng.integers(-24, 25, 2) / 8.0)) for _ in range(4)]
-            for problem in (Linear(c[0], c[1]), LinearSystem(*c), Quadratic(c[0], c[1], c[2]),
-                            Fractional(*c)):
+            for problem in (Linear(c[0], c[1]), System((Linear(c[0], c[1]), Linear(c[2], c[3]))),
+                            Quadratic(c[0], c[1], c[2]), Fractional(*c)):
                 seen.update(np.unique(_block_codes(problem, grid)).tolist())
                 cells = sample_raster(problem, grid).cells
                 assert cells.tobytes() == problem_grid(problem, *grid.points())[0].tobytes()
@@ -430,7 +431,7 @@ class TestBlockDecision:
     @pytest.mark.parametrize("problem, code", [
         (Linear(1 + 0j, -10 + 0j), Membership.IN),                  # Re z + 10 > 0
         (Quadratic(1e-3 + 0j, 0j, 5 + 0j), Membership.IN),          # 1e-3 Re z^2 + 5 > 0
-        (LinearSystem(1 + 0j, 0j, 0j, 1 + 0j), Membership.OUT),     # 0*Z - 1 < 0
+        (System((Linear(1 + 0j, 0j), Linear(0j, 1 + 0j))), Membership.OUT),  # 0*Z - 1 < 0
         (Fractional(0j, 1 + 0j, 10 + 0j, -1 + 0j), Membership.IN),  # 1/(z + 10) + 1 > 0
         (Fractional(1j, 0j, 5 + 0j, 2 + 0j), Membership.OUT),       # Re(i z/(z + 5)) - 2 < 0
         # x^2 - y^2 + 2.26 > 0 for |y| <= 1.5, but only with x*x >= 0 where x straddles 0
@@ -460,3 +461,58 @@ class TestBlockDecision:
             cells = sample_raster(problem, grid).cells
             codes, _ = problem_grid(problem, *grid.points())
         assert cells.tobytes() == codes.tobytes()
+
+
+def _dyadic(rng):
+    """A coefficient with both parts multiples of 1/8 in [-3, 3]."""
+    return complex(*(rng.integers(-24, 25, 2) / 8.0))
+
+
+def _mixed_constraint(rng, kind):
+    """A constraint of ``kind`` with dyadic coefficients.  Half the
+    fractions have their pole at a multiple of 1.25 + 1.25i, which the
+    default 201 x 201 grid over [-5, 5]^2 holds exactly."""
+    if kind == "linear":
+        return Linear(_dyadic(rng), _dyadic(rng))
+    if kind == "quadratic":
+        while (a := _dyadic(rng)) == 0:
+            pass
+        return Quadratic(a, _dyadic(rng), _dyadic(rng))
+    a, b = _dyadic(rng), _dyadic(rng)
+    c = complex(*(1.25 * rng.integers(-2, 3, 2))) if rng.integers(2) else _dyadic(rng)
+    return Fractional(a, b, c, _dyadic(rng))
+
+
+def _mixed_system(rng):
+    kinds = rng.choice(["linear", "fractional", "quadratic"], int(rng.integers(2, 5)))
+    return System(tuple(_mixed_constraint(rng, str(k)) for k in kinds))
+
+
+class TestMixedSystems:
+    """Systems of 2-4 constraints of every class, whose fraction poles
+    often lie on the grid: the solver agrees with direct evaluation, and
+    the raster, block-settled or not, with ``problem_grid``, pole cells
+    included.  A block that one constraint settles out may hold another
+    constraint's pole cell; its nan bounds keep it open."""
+
+    def test_verify_and_raster_match_direct(self):
+        rng = np.random.default_rng(60)
+        grid = oracle.default_grid()
+        zr, zi = grid.points()
+        kinds = set()
+        poles = 0
+        for _ in range(60):
+            problem = _mixed_system(rng)
+            kinds.update(type(c) for c in problem.constraints)
+            report = verify(problem, solve(problem), grid)
+            assert report.passed and not report.mismatches, (problem, report.mismatches[:3])
+            codes, _ = problem_grid(problem, zr, zi)
+            cells = sample_raster(problem, grid).cells
+            assert cells.tobytes() == codes.tobytes(), problem
+            pole = np.flatnonzero(codes == Membership.POLE)
+            poles += pole.shape[0]
+            lanes = np.concatenate([pole, rng.integers(0, codes.shape[0], 20)])
+            assert [int(eval_direct(problem, complex(zr[k], zi[k]))) for k in lanes] == \
+                codes[lanes].tolist(), problem
+        assert kinds == {Linear, Fractional, Quadratic}
+        assert poles > 20

@@ -7,7 +7,7 @@ from lexineq.errors import UnsupportedFormError
 from lexineq.normalize import classify_problem, classify_problem_ex, problem_kind
 from lexineq.oracle import _values
 from lexineq.parser import eval_expr, parse, parse_input
-from lexineq.solver import Fractional, Linear, LinearSystem, Quadratic
+from lexineq.solver import Fractional, Linear, Quadratic, System
 
 
 class TestClassify:
@@ -75,15 +75,38 @@ class TestClassify:
 
     def test_system(self):
         p = classify_problem(parse_input("Z >= 0 && (1i)*Z >= 1"))
-        assert p == LinearSystem(1 + 0j, 0j, 1j, 1 + 0j)
+        assert p == System((Linear(1 + 0j, 0j), Linear(1j, 1 + 0j)))
 
-    def test_system_requires_linear_parts(self):
-        with pytest.raises(UnsupportedFormError):
-            classify_problem(parse_input("Z^2 >= 0 && Z >= 0"))
+    def test_mixed_systems_classify(self):
+        p = classify_problem(parse_input("1/Z >= 1 && Z >= 0 && 1/(Z - 1) >= 2i"))
+        assert p == System((Fractional(0j, 1 + 0j, 0j, 1 + 0j), Linear(1 + 0j, 0j),
+                            Fractional(0j, 1 + 0j, -1 + 0j, 2j)))
+        assert problem_kind(p) == "system"
+        assert problem_kind(System((Linear(1 + 0j, 0j), Quadratic(1 + 0j, 0j, 0j)))) == "system"
+        assert problem_kind(System((Linear(1 + 0j, 0j),) * 3)) == "system"
+        # a member's denominator scale is not the system's
+        _, scale = classify_problem_ex(parse_input("1/(2*Z) >= 1 && Z >= 0"))
+        assert scale is None
+
+    @pytest.mark.parametrize("text", ["Z >= 0 && Z^2 >= 1", "1/Z >= 1 && Z >= 0 && Z^2 >= 0"])
+    def test_quadratic_constraint_refused_from_text(self, text):
+        with pytest.raises(UnsupportedFormError, match="got a quadratic constraint"):
+            classify_problem(parse_input(text))
+
+    @pytest.mark.parametrize("count", [0, 9, 12])
+    def test_system_size_refused(self, count):
+        # an empty sequence, and more inequalities than a system holds
+        with pytest.raises(UnsupportedFormError, match="a system joins 2 to 8 inequalities"):
+            classify_problem_ex([parse("Z >= 0")] * count)
+
+    def test_system_holds_two_or_more_constraints(self):
+        with pytest.raises(UnsupportedFormError, match="got 1"):
+            System([Linear(1 + 0j, 0j)])
+        assert System([Linear(1 + 0j, 0j)] * 2).constraints == (Linear(1 + 0j, 0j),) * 2
 
     def test_problem_kind_names(self):
         assert problem_kind(Linear(1 + 0j, 0j)) == "linear"
-        assert problem_kind(LinearSystem(1 + 0j, 0j, 1j, 0j)) == "linear-system"
+        assert problem_kind(System((Linear(1 + 0j, 0j), Linear(1j, 0j)))) == "linear-system"
         assert problem_kind(Fractional(0j, 1 + 0j, 0j, 0j)) == "fractional"
         assert problem_kind(Quadratic(1 + 0j, 0j, 0j)) == "quadratic"
 
@@ -147,8 +170,15 @@ def _classified_bits(text: str):
         problem, scale = classify_problem_ex(parse_input(text))
     except UnsupportedFormError as exc:
         return (type(exc).__name__, str(exc))
-    return (type(problem).__name__, tuple(_hex(getattr(problem, f)) for f in problem._fields),
+    return (type(problem).__name__, tuple(_hex(c) for c in _coefficients(problem)),
             None if scale is None else _hex(scale))
+
+
+def _coefficients(problem):
+    """A problem's coefficients in field order, a system's members' in turn."""
+    if isinstance(problem, System):
+        return [c for member in problem.constraints for c in _coefficients(member)]
+    return [getattr(problem, f) for f in problem._fields]
 
 
 # Inputs whose sides fold over unit denominators (every literal and Z has
@@ -186,7 +216,7 @@ FOLDED_BITS = [
     ('1/Z + 1 >= 0',
      ('Fractional', (('0x1.0000000000000p+0', '0x0.0p+0'), ('0x1.0000000000000p+0', '0x0.0p+0'), ('0x0.0p+0', '0x0.0p+0'), ('0x0.0p+0', '0x0.0p+0')), None)),
     ('-Z >= 0 && Z*(-1) <= (0-1i)',
-     ('LinearSystem', (('-0x1.0000000000000p+0', '0x0.0p+0'), ('-0x0.0p+0', '-0x0.0p+0'), ('0x1.0000000000000p+0', '0x0.0p+0'), ('-0x0.0p+0', '0x1.0000000000000p+0')), None)),
+     ('System', (('-0x1.0000000000000p+0', '0x0.0p+0'), ('-0x0.0p+0', '-0x0.0p+0'), ('0x1.0000000000000p+0', '0x0.0p+0'), ('-0x0.0p+0', '0x1.0000000000000p+0')), None)),
     ('2^1024 >= Z',
      ('UnsupportedFormError', 'a constant overflows the float range (about 1.8e308) while the coefficients are folded')),
     ('Z^3 * 2^1024 >= 1',
@@ -210,7 +240,7 @@ FOLDED_BITS = [
     ('((-0.0-1i)*Z^2 - (-0.0+0i))/(1-0.0i) >= 0',
      ('Quadratic', (('0x0.0p+0', '-0x1.0000000000000p+0'), ('0x0.0p+0', '0x0.0p+0'), ('0x0.0p+0', '0x0.0p+0')), None)),
     ('(1-0.0i)*Z - (-0.0+0.0i) >= 0 && (-0.0-2i)*Z >= (-0.0+0i)',
-     ('LinearSystem', (('0x1.0000000000000p+0', '0x0.0p+0'), ('-0x0.0p+0', '-0x0.0p+0'), ('0x0.0p+0', '-0x1.0000000000000p+1'), ('-0x0.0p+0', '-0x0.0p+0')), None)),
+     ('System', (('0x1.0000000000000p+0', '0x0.0p+0'), ('-0x0.0p+0', '-0x0.0p+0'), ('0x0.0p+0', '-0x1.0000000000000p+1'), ('-0x0.0p+0', '-0x0.0p+0')), None)),
 ]
 
 
@@ -235,7 +265,7 @@ class TestNormalizationSoundness:
         for _ in range(250):
             src = gen_source(rng)
             problem = classify_problem(src)
-            if isinstance(problem, LinearSystem):
+            if isinstance(problem, System):
                 continue
             for _ in range(10):
                 z = probe(rng)
@@ -260,7 +290,7 @@ class TestNormalizationSoundness:
         for _ in range(50):
             pair = gen_system(rng)
             problem = classify_problem(pair)
-            assert isinstance(problem, LinearSystem)
+            assert problem_kind(problem) == "linear-system"
             for _ in range(5):
                 z = probe(rng)
                 v1 = eval_expr(pair[0].lhs, z) - eval_expr(pair[0].rhs, z)

@@ -16,7 +16,7 @@ from lexineq.oracle import (
     verify,
 )
 from lexineq.region import Invert, Membership, Region, Sqrt
-from lexineq.solver import Fractional, Linear, LinearSystem, Quadratic, solve, solve_linear
+from lexineq.solver import Fractional, Linear, Quadratic, System, solve, solve_linear
 
 IN, OUT, POLE = Membership.IN, Membership.OUT, Membership.POLE
 
@@ -57,7 +57,7 @@ class TestEvalDirect:
         assert eval_direct(Linear(1 + 0j, 2 + 1j), 2 + 1j) is IN
 
     def test_system_conjunction(self):
-        p = LinearSystem(1 + 0j, 0j, 1j, 0j)
+        p = System((Linear(1 + 0j, 0j), Linear(1j, 0j)))
         assert eval_direct(p, 1 - 1j) is IN
         assert eval_direct(p, 1 + 1j) is OUT
 
@@ -81,7 +81,7 @@ class TestBoundaryMargin:
             boundary_margin(Fractional(0j, 1 + 0j, 0j, 1 + 0j), 0j)
 
     def test_system_takes_min(self):
-        p = LinearSystem(1 + 0j, 0j, 1 + 0j, -3 + 0j)
+        p = System((Linear(1 + 0j, 0j), Linear(1 + 0j, -3 + 0j)))
         assert boundary_margin(p, 1 + 0j) == 1.0
 
 
@@ -160,7 +160,7 @@ class TestVerifySweepCoarseDyadic:
                     a, c = dy(), dy()
                     if a != 0 and c != 0:
                         break
-                problem = LinearSystem(a, dy(), c, dy())
+                problem = System((Linear(a, dy()), Linear(c, dy())))
             elif cls == 2:
                 while True:
                     a, b, c = dy(), dy(), dy()
@@ -252,7 +252,7 @@ class TestProblemGrid:
         rng = np.random.default_rng(6)
         problems = [
             Linear(1.5 - 2j, 0.25 + 1j),
-            LinearSystem(1 + 2j, 0.5j, -1 + 0.25j, 2 + 0j),
+            System((Linear(1 + 2j, 0.5j), Linear(-1 + 0.25j, 2 + 0j))),
             Fractional(1 + 1j, 3 + 0j, 1 + 0j, 0.5j),
             Quadratic(-2 + 1j, 1 + 0j, 0.125 - 3j),
         ]

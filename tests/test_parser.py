@@ -11,6 +11,7 @@ from lexineq import parser as parser_module
 from lexineq.errors import MultipleVariablesError, NonIntegerExponentError, ParseError
 from lexineq.parser import (
     MAX_EXPONENT,
+    MAX_SYSTEM,
     _Parser,
     Add,
     Div,
@@ -219,11 +220,18 @@ EDGE_CASES = [
     ('parse_input', 'Z && Z >= 1',
      ('ParseError', "expected '>=' or '<=', found '&&' (at byte 2)", 2)),
     ('parse_input', 'Z >= 1 && Z >= 2 && Z >= 3',
-     ('ParseError', "at most two inequalities may be joined by '&&' (at byte 17)", 17)),
+     'Var() >= Lit(value=(1+0j)) && Var() >= Lit(value=(2+0j)) && Var() >= Lit(value=(3+0j))'),
+    ('parse_input', 'Z >= 1 && Z >= 2 e',
+     ('ParseError', "unexpected trailing input 'e' (at byte 17)", 17)),
+    ('parse_input', ' && '.join(f'Z >= {k}' for k in range(1, 9)),
+     ' && '.join(f'Var() >= Lit(value=({k}+0j))' for k in range(1, 9))),
+    ('parse_input', ' && '.join(f'Z >= {k}' for k in range(1, 10)),
+     ('ParseError', "at most 8 inequalities may be joined by '&&' (at byte 77)", 77)),
     ('parse_input', 'Z >= 1 & Z >= 2',
      ('ParseError', "unexpected character '&' (at byte 7)", 7)),
     ('parse', 'Z >= 1 && Z >= 0',
-     ('ParseError', "'&&' joins two inequalities; use parse_input for systems (at byte 7)", 7)),
+     ('ParseError', "'&&' joins inequalities into a system; use parse_input for systems "
+      "(at byte 7)", 7)),
     ('parse_complex', '1+2i',
      '(1+2j)'),
     ('parse_complex', ' -0.5i ',
@@ -399,9 +407,10 @@ class TestParseInput:
         assert len(pair) == 2
         assert pair[1].lhs == Mul(Lit(2 + 0j), Var())
 
-    def test_three_rejected(self):
-        with pytest.raises(ParseError):
-            parse_input("Z >= 0 && Z >= 1 && Z >= 2")
+    def test_nine_rejected(self):
+        assert len(parse_input(" && ".join(["Z >= 0"] * MAX_SYSTEM))) == MAX_SYSTEM
+        with pytest.raises(ParseError, match=f"at most {MAX_SYSTEM} inequalities"):
+            parse_input(" && ".join(["Z >= 0"] * (MAX_SYSTEM + 1)))
 
     def test_parse_rejects_system(self):
         with pytest.raises(ParseError):

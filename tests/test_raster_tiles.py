@@ -24,8 +24,8 @@ from lexineq.region import Membership, Region, Sqrt, membership_grid
 from lexineq.solver import (
     Fractional,
     Linear,
-    LinearSystem,
     Quadratic,
+    System,
     solution_grid_margin,
     solve,
     solve_linear,
@@ -86,7 +86,7 @@ FRACTIONAL_POLE = Fractional(0j, 1 + 0j, 0.5 - 0.25j, 1 + 0j)
 
 PROBLEMS = [
     Linear(1 - 0.5j, 0.25 + 0j),
-    LinearSystem(1 + 0j, -0.5 + 0j, 1j, 0.25 + 0j),
+    System((Linear(1 + 0j, -0.5 + 0j), Linear(1j, 0.25 + 0j))),
     FRACTIONAL_POLE,
     Quadratic(1 + 0j, 0.5j, -1 + 0j),
 ]

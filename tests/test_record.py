@@ -17,14 +17,25 @@ from lexineq.errors import NonPositiveScaleError
 from lexineq.lexorder import Polar
 from lexineq.oracle import Bitmap, GridSpec, VerificationReport
 from lexineq.parser import Add, Lit, Sub, Var
-from lexineq.region import Invert, Region, Rotate, Scale, Translate
+from lexineq.region import (
+    Disc,
+    Generic,
+    HyperbolaDomain,
+    Invert,
+    ObliqueHalfPlane,
+    Region,
+    Rotate,
+    Scale,
+    Translate,
+    VerticalHalfPlane,
+)
 from lexineq.solver import (
     Fractional,
     Linear,
-    LinearSystem,
     Quadratic,
     SolutionKind,
     SolutionSet,
+    System,
     solve,
 )
 
@@ -152,7 +163,7 @@ class TestRepr:
 
 @pytest.mark.parametrize("problem, keys", [
     (Linear(1, 2), ["kind", "a", "b"]),
-    (LinearSystem(1, 2, 3, 4), ["kind", "a", "b", "c", "d"]),
+    (System((Linear(1, 2), Linear(3, 4))), ["kind", "a", "b", "c", "d"]),
     (Fractional(1, 2, 3, 4), ["kind", "a", "b", "c", "d"]),
     (Quadratic(1, 2, 3), ["kind", "a", "b", "c"]),
 ], ids=["linear", "system", "fractional", "quadratic"])
@@ -160,3 +171,26 @@ def test_problem_to_json_key_order(problem, keys):
     doc = cli.problem_to_json(problem)
     assert list(doc) == keys
     assert doc["b"] == {"re": 2.0, "im": 0.0}
+
+
+@pytest.mark.parametrize("classification, expected", [
+    (VerticalHalfPlane(1.5, "n"),
+     {"kind": "vertical-half-plane", "boundary_re": 1.5, "boundary_note": "n"}),
+    (ObliqueHalfPlane(0.5, -2.0, "n"),
+     {"kind": "oblique-half-plane", "normal_angle": 0.5, "offset": -2.0, "boundary_note": "n"}),
+    (Disc(0.5 - 1j, 2.0, "n"),
+     {"kind": "disc", "center": {"re": 0.5, "im": -1.0}, "radius": 2.0, "boundary_note": "n"}),
+    (HyperbolaDomain(-1.0, False, True, "n"),
+     {"kind": "hyperbola-domain", "a1": -1.0, "connected": False, "contains_origin": True,
+      "boundary_note": "n"}),
+    (Generic("n"), {"kind": "generic", "boundary_note": "n"}),
+], ids=["vertical", "oblique", "disc", "hyperbola", "generic"])
+def test_classification_to_json_fields_in_order(classification, expected):
+    doc = cli.classification_to_json(classification)
+    assert doc == expected and list(doc) == list(expected)
+
+
+@pytest.mark.parametrize("obj", [Region(0j), Linear(1, 2), None])
+def test_classification_to_json_refuses_other_objects(obj):
+    with pytest.raises(TypeError, match="not a classification"):
+        cli.classification_to_json(obj)

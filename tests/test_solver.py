@@ -19,17 +19,16 @@ from lexineq.region import (
 from lexineq.solver import (
     Fractional,
     Linear,
-    LinearSystem,
     Quadratic,
     SolutionKind,
     SolutionSet,
+    System,
     solution_contains,
     solution_grid,
     solution_grid_margin,
     solve,
     solve_fractional,
     solve_linear,
-    solve_linear_system,
     solve_quadratic,
 )
 
@@ -98,7 +97,7 @@ class TestSolveLinear:
 
 class TestSolveLinearSystem:
     def test_nested_halfplanes(self):
-        s = solve_linear_system(1 + 0j, 1 + 0j, 1 + 0j, 2 + 0j)
+        s = solve(System((Linear(1 + 0j, 1 + 0j), Linear(1 + 0j, 2 + 0j))))
         tight = solve_linear(1 + 0j, 2 + 0j)
         rng = np.random.default_rng(0)
         for _ in range(200):
@@ -106,7 +105,7 @@ class TestSolveLinearSystem:
             assert solution_contains(s, w) is solution_contains(tight, w)
 
     def test_wedge(self):
-        s = solve_linear_system(1 + 0j, 0j, 1j, 0j)
+        s = solve(System((Linear(1 + 0j, 0j), Linear(1j, 0j))))
         assert s.kind is SolutionKind.INTERSECTION
         assert solution_contains(s, 1 + 1j) is OUT or True  # membership decided below
         # first constraint: Re >= 0 half-plane; second: 1j*Z >= 0
@@ -116,20 +115,50 @@ class TestSolveLinearSystem:
         assert solution_contains(s, 1 - 1j) is IN  # 1j*(1-1j) = 1+1j >= 0
 
     def test_conflicting_constraints_empty_interior(self):
-        s = solve_linear_system(1 + 0j, 1 + 0j, -1 + 0j, 1 + 0j)
+        s = solve(System((Linear(1 + 0j, 1 + 0j), Linear(-1 + 0j, 1 + 0j))))
         grid = GridSpec(-5, 5, -5, 5, 41, 41)
         zr, zi = grid.points()
         codes = solution_grid(s, zr, zi)
         assert not np.any(codes == int(IN))
 
     def test_all_and_empty_propagation(self):
-        assert solve_linear_system(0j, 1 + 0j, 1 + 0j, 0j).kind is SolutionKind.EMPTY
-        s = solve_linear_system(0j, -1 + 0j, 1 + 0j, 0j)
+        assert solve(System((Linear(0j, 1 + 0j), Linear(1 + 0j, 0j)))).kind is SolutionKind.EMPTY
+        s = solve(System((Linear(0j, -1 + 0j), Linear(1 + 0j, 0j))))
         assert s.kind is SolutionKind.SINGLE  # ALL ∩ single -> single
 
     def test_wedge_grid_equivalence(self):
-        p = LinearSystem(1 + 0j, 0j, 1j, 0j)
-        assert verify(p, solve_linear_system(p.a, p.b, p.c, p.d)).passed
+        p = System((Linear(1 + 0j, 0j), Linear(1j, 0j)))
+        assert verify(p, solve(p)).passed
+
+
+class TestSolveSystem:
+    def test_shared_pole_listed_once(self):
+        p = System((Fractional(0j, 1 + 0j, 1j, 1 + 0j), Linear(1 + 0j, -5 + 0j),
+                    Fractional(1 + 0j, 2 + 0j, 1j, 0j), Fractional(0j, 1j, 1 + 0j, 0j)))
+        s = solve(p)
+        assert s.kind is SolutionKind.INTERSECTION and len(s.regions) == 4
+        assert s.excluded_points == (-1j, -1 + 0j)
+        assert solution_contains(s, -1j) is POLE and eval_direct(p, -1j) is POLE
+        assert verify(p, s).passed
+
+    def test_constant_members(self):
+        always = Fractional(1 + 0j, 1 + 0j, 1 + 0j, 0j)  # degenerate: 1 >= 0 away from -1
+        never = Linear(0j, 1 + 0j)                       # -1 >= 0
+        quadratic = Quadratic(1 + 0j, 0j, 0j)
+        s = solve(System((always, quadratic)))
+        assert s == SolutionSet.single(solve(quadratic).regions[0], (-1 + 0j,))
+        s = solve(System((quadratic, never, always)))
+        assert s.kind is SolutionKind.EMPTY and s.excluded_points == (-1 + 0j,)
+        s = solve(System((Linear(0j, -1 + 0j), always)))
+        assert s == solve(always)  # every member always holds: the last one's answer
+        for p in (System((always, quadratic)), System((quadratic, never, always))):
+            assert verify(p, solve(p)).passed
+
+    def test_strict_refuses_degenerate_member(self):
+        p = System((Linear(1 + 0j, 0j), Fractional(1 + 0j, 1 + 0j, 1 + 0j, 0j)))
+        assert solve(p).kind is SolutionKind.SINGLE
+        with pytest.raises(DegenerateFractionError):
+            solve(p, strict=True)
 
 
 class TestSolveFractional:
@@ -280,7 +309,7 @@ def _shift_branch(s: SolutionSet) -> SolutionSet:
 class TestSolutionSet:
     def test_excluded_points_only_for_fractional(self):
         assert solve_linear(1 + 0j, 1 + 0j).excluded_points == ()
-        assert solve_linear_system(1 + 0j, 0j, 1j, 0j).excluded_points == ()
+        assert solve(System((Linear(1 + 0j, 0j), Linear(1j, 0j)))).excluded_points == ()
         assert solve_quadratic(1 + 0j, 0j, 0j).excluded_points == ()
         assert solve_fractional(0j, 1 + 0j, 1j, 0j).excluded_points == (-1j,)
 

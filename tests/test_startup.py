@@ -75,7 +75,8 @@ class TestScalarCommandsSkipNumpy:
         "Z >= 1 && (1i)*Z >= 0",
         "1/Z >= 1",
         "Z^2 + 1 >= 0",
-    ], ids=["linear", "system", "fractional", "quadratic"])
+        "1/Z >= 1 && Z >= 0 && (1i)*Z >= -1",
+    ], ids=["linear", "system", "fractional", "quadratic", "mixed-system"])
     def test_solve(self, text):
         status, out, messages, loaded, modules = _run("solve", text)
         assert (status, messages, loaded, modules) == (0, [], [], SOLVE)
@@ -85,11 +86,17 @@ class TestScalarCommandsSkipNumpy:
         status, out, messages, loaded, modules = _run("check", "1/Z >= 1", "--at", "0.5+0.1i")
         assert (status, out, messages, loaded, modules) == (0, "in\n", [], [], CHECK)
 
+    def test_check_system(self):
+        status, out, messages, loaded, modules = _run("check", "1/Z >= 1 && Z >= 0",
+                                                      "--at", "0.5+0.1i")
+        assert (status, out, messages, loaded, modules) == (0, "in\n", [], [], CHECK)
+
     @pytest.mark.parametrize("text, expected", [
         ("Z >= ", REFUSED_AT_PARSE),
         ("Z^3 >= 1", REFUSED_AT_NORMALIZE),
         ("2^1024 >= Z", REFUSED_AT_NORMALIZE),
-    ], ids=["parse-error", "unsupported", "overflow"])
+        ("Z >= 1 && Z^2 >= 1", REFUSED_AT_NORMALIZE),
+    ], ids=["parse-error", "unsupported", "overflow", "quadratic-in-system"])
     def test_refused_input(self, text, expected):
         status, out, messages, loaded, modules = _run("solve", text)
         assert (status, out, loaded, modules) == (1, "", [], expected)
