@@ -3,10 +3,13 @@
 The helpers in ``_kernels`` that do only ``+ - * /`` run unchanged on
 arrays, so this module adds only what arrays need: Smith's branch chosen
 lane by lane with ``np.where``, pole lanes kept in a mask, and the two
-reductions of the computed values.  :func:`codes` turns the decision
-into membership codes, which is all a raster needs; :func:`margins`
-computes the tie margins that only verification reads, and only the
-callers that read them run it.  A raster first decides each lane on the
+reductions of the computed values: one ``(re, im)`` pair per constraint,
+in where it is >= 0, and a pole mask, be they a problem's left-hand
+sides (``oracle``) or regions' pulled-back probes minus their anchors
+(``region``, ``solver``).  :func:`codes` turns the decision into
+membership codes, which is all a raster needs; :func:`margins` computes
+the tie margins that only verification reads, and only the callers that
+read them run it.  A raster first decides each lane on the
 real parts alone (:func:`cdiv_real`, :func:`decide_real`), since the
 imaginary part only breaks exact ties.  Results are bit-identical to the
 scalar path.  Complex dtype is deliberately avoided: numpy's own complex
@@ -172,8 +175,6 @@ def margins(values, pole):
     """Smallest tie margin over the ``(re, im)`` pairs of ``values``.
 
     Infinite where ``pole`` is set (None when no lane can be a pole).
-    The pairs are taken one at a time, so an iterator of them need hold
-    only one pair's arrays at once.
     """
     result = None
     for vr, vi in values:

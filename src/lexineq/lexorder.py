@@ -7,7 +7,9 @@ is total, but it is *not* compatible with complex multiplication -- see
 
 Coordinates are plain binary floats and every comparison is exact: the
 order is discontinuous by nature, and any epsilon-based comparison would
-break antisymmetry.
+break antisymmetry.  The order has one definition, ``_kernels.at_least``
+(w >= a); :func:`lex_cmp` runs it both ways, as regions, rasters and
+``lexineq.laws`` run it on floats and arrays.
 
 :class:`Membership`, the three-valued answer of a region or inequality
 at a point, is defined here, next to :class:`Ordering`, so that the
@@ -67,19 +69,13 @@ def lex_cmp(a: complex, b: complex) -> Ordering:
     """Compare two complex numbers in dictionary order.
 
     Real parts decide first; equal real parts fall through to the
-    imaginary parts.  Comparisons are exact (no tolerance).
+    imaginary parts.  Decided by ``_kernels.at_least`` both ways, so
+    exactly (no tolerance); as ints, since numpy's bools do not subtract.
     """
     require_finite(a, "left operand")
     require_finite(b, "right operand")
-    if a.real < b.real:
-        return Ordering.LESS
-    if a.real > b.real:
-        return Ordering.GREATER
-    if a.imag < b.imag:
-        return Ordering.LESS
-    if a.imag > b.imag:
-        return Ordering.GREATER
-    return Ordering.EQUAL
+    return Ordering(int(_kernels.at_least(a.real, a.imag, b.real, b.imag))
+                    - int(_kernels.at_least(b.real, b.imag, a.real, a.imag)))
 
 
 def lex_le(a: complex, b: complex) -> bool:

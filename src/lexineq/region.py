@@ -9,6 +9,9 @@ half-plane decides.  This is uniform in all parameter signs, unlike the
 closed-form case analyses, which are kept only for classification and
 as independent cross-checks in the tests.
 
+On the grid a region is a constraint: its value, the pulled-back probe
+minus the base anchor, is >= 0 in the region (TermMoving, bit for bit).
+
 Membership answers are :class:`lexineq.lexorder.Membership`, re-exported
 here.
 """
@@ -178,11 +181,13 @@ def contains(region: Region, w: complex) -> Membership:
     return Membership.OUT
 
 
-def _pull_back_lanes(region: Region, zr: np.ndarray, zi: np.ndarray):
-    """:func:`pull_back` of every lane: ``(wr, wi, pole)``.
+def _value_lanes(region: Region, zr: np.ndarray, zi: np.ndarray):
+    """The region as a constraint on float64 lanes: ``((wr - a1, wi - a2), pole)``.
 
-    ``pole`` marks the lanes that hit an inversion's pole; it is None
-    when the chain has no inversion.
+    ``(wr, wi)`` is :func:`pull_back` of each lane, ``a1 + a2*i`` the base
+    anchor: floats subtract to 0 only when equal, and to a signed inf on
+    overflow, so the value is >= 0 exactly where ``contains`` says IN.
+    ``pole`` marks the lanes at an inversion's pole; None if none inverts.
     """
     import numpy as np
 
@@ -197,7 +202,10 @@ def _pull_back_lanes(region: Region, zr: np.ndarray, zi: np.ndarray):
         return _grid.cdiv(1.0, 0.0, wr, wi)
 
     wr, wi = pull_back(region, zr, zi, invert)
-    return wr, wi, pole
+    out = (wr, wi) if region.transforms else (None, None)  # the chain made new arrays
+    with np.errstate(over="ignore"):
+        return (np.subtract(wr, region.base.real, out=out[0]),
+                np.subtract(wi, region.base.imag, out=out[1])), pole
 
 
 def membership_grid(region: Region, zr: np.ndarray, zi: np.ndarray) -> np.ndarray:
@@ -212,8 +220,8 @@ def membership_grid(region: Region, zr: np.ndarray, zi: np.ndarray) -> np.ndarra
 
     zr = np.ascontiguousarray(zr, dtype=np.float64)
     zi = np.ascontiguousarray(zi, dtype=np.float64)
-    wr, wi, pole = _pull_back_lanes(region, zr, zi)
-    return _grid.codes(_kernels.at_least(wr, wi, region.base.real, region.base.imag), pole)
+    value, pole = _value_lanes(region, zr, zi)
+    return _grid.codes(_grid.at_least_zero((value,)), pole)
 
 
 def apply_transform(region: Region, transform: Transform) -> Region:

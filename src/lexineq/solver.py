@@ -12,7 +12,9 @@ of a half-plane; the quadratic solver completes the square and takes
 the two-valued square-root preimage.  No assumption is made about the
 sign or realness of any intermediate quantity: membership is always the
 pullback walk, which is correct for all parameter signs.  A
-:class:`System`'s solution is the intersection of its members'.
+:class:`System`'s solution is the intersection of its members'.  On the
+grid its regions' values and its pole mask are reduced by ``_grid`` as
+``oracle.problem_grid`` reduces a problem's.
 
 The problem classes (:class:`Linear`, :class:`System`,
 :class:`Fractional`, :class:`Quadratic` and the union
@@ -25,7 +27,6 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from . import _kernels
 from ._record import record
 from .errors import DegenerateFractionError, ZeroLeadingCoefficientError
 from .lexorder import Membership, complex_div, lex_le, polar_decompose, require_finite
@@ -36,7 +37,7 @@ from .region import (
     Rotate,
     Sqrt,
     Translate,
-    _pull_back_lanes,
+    _value_lanes,
     apply_transform,
     contains,
 )
@@ -260,74 +261,45 @@ def solution_grid(solution: SolutionSet, zr: np.ndarray, zi: np.ndarray) -> np.n
     """Vectorized :func:`solution_contains` over flat coordinate arrays."""
     from . import _grid
 
-    inside, pole, _ = _solution_lanes(solution, zr, zi)
-    return _grid.codes(inside, pole)
+    values, pole = _solution_lanes(solution, zr, zi)
+    return _grid.codes(_grid.at_least_zero(values), pole)
 
 
 def solution_grid_margin(solution: SolutionSet, zr: np.ndarray,
                          zi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Membership codes plus the solution side's boundary margins.
 
-    The margin is the deciding component of the pulled-back value in
-    each region's base half-plane test (smallest constituent for an
+    The margin is the tie margin of each region's value, its pulled-back
+    probe minus its base anchor (smallest constituent for an
     intersection); constant solutions and pole points report an
     infinite margin.
     """
-    import numpy as np
-
     from . import _grid
 
-    inside, pole, pulled = _solution_lanes(solution, zr, zi)
-    codes = _grid.codes(inside, pole)
-    if not pulled:
-        return codes, np.full(codes.shape, np.inf)
-    return codes, _grid.margins(_offsets(pulled), pole)
-
-
-def _offsets(pulled):
-    """Each region's pulled-back probes minus its base anchor.
-
-    Pops the regions, so each one's arrays are freed once its margin is
-    taken.
-    """
-    while pulled:
-        wr, wi, a1, a2 = pulled.pop()
-        yield wr - a1, wi - a2
+    values, pole = _solution_lanes(solution, zr, zi)
+    return _grid.codes(_grid.at_least_zero(values), pole), _grid.margins(values, pole)
 
 
 def _solution_lanes(solution: SolutionSet, zr, zi):
-    """What both grid functions reduce: ``(inside, pole, pulled)``.
+    """What both grid functions reduce, as ``oracle.problem_grid`` does: ``(values, pole)``.
 
-    ``inside`` holds every region's base half-plane test, ``pole`` the
-    lanes that hit a region's pole or an excluded point (None when no
-    lane can), and ``pulled`` one ``(wr, wi, a1, a2)`` per region: the
-    pulled-back probes and the base anchor, from which the margins are
-    computed.
+    ``values`` holds each region's value pair (``region._value_lanes``);
+    a constant solution's one pair is (inf, inf) if ALL, else (-inf, -inf):
+    it holds, or fails, everywhere with an infinite margin.  ``pole`` is
+    the union of the regions' pole masks and the excluded points (None
+    when no lane can be a pole).
     """
     import numpy as np
 
     zr = np.ascontiguousarray(zr, dtype=np.float64)
     zi = np.ascontiguousarray(zi, dtype=np.float64)
-    inside = pole = None
-    pulled = []
-    for region in solution.regions:
-        a1, a2 = region.base.real, region.base.imag
-        wr, wi, region_pole = _pull_back_lanes(region, zr, zi)
-        base = _kernels.at_least(wr, wi, a1, a2)
-        inside = base if inside is None else np.logical_and(inside, base, out=inside)
-        pole = _either(pole, region_pole)
-        pulled.append((wr, wi, a1, a2))
-    if inside is None:
-        inside = np.full(zr.shape, solution.kind is SolutionKind.ALL)
-    for p in solution.excluded_points:
-        pole = _either(pole, (zr == p.real) & (zi == p.imag))
-    return inside, pole, pulled
-
-
-def _either(a, b):
-    """Union of two optional lane masks (None is the empty mask)."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a | b
+    lanes = [_value_lanes(region, zr, zi) for region in solution.regions]
+    pole = None
+    for mask in [m for _, m in lanes] + [(zr == p.real) & (zi == p.imag)
+                                         for p in solution.excluded_points]:
+        if mask is not None:
+            pole = mask if pole is None else pole | mask
+    if not lanes:
+        constant = np.full(zr.shape, np.inf if solution.kind is SolutionKind.ALL else -np.inf)
+        return [(constant, constant)], pole
+    return [value for value, _ in lanes], pole

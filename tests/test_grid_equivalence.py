@@ -64,7 +64,19 @@ PROBLEMS = {
 }
 
 
-def _random_region(rng):
+# Anchors and offsets at the ends of the float range, next to ordinary ones
+EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308)
+
+
+def _random_region(rng, extreme=False):
+    """A random chain.  With ``extreme``, scale factors are 10^k, |k| <= 300,
+    and half the anchors and offsets are ``EXTREMES``, so that pulled-back
+    lanes reach ±inf, nan and 0."""
+    def coord():
+        if extreme and rng.integers(2):
+            return float(rng.choice(EXTREMES))
+        return float(rng.uniform(-2, 2))
+
     # the int-valued draws check that the walk uses each field as given,
     # int or float, without a conversion of its own
     transforms = []
@@ -73,9 +85,10 @@ def _random_region(rng):
         if k == 0:
             transforms.append(Rotate(float(rng.uniform(-7, 7))))
         elif k == 1:
-            transforms.append(Scale(float(rng.uniform(0.25, 4.0))))
+            r = 10.0 ** rng.uniform(-300, 300) if extreme else rng.uniform(0.25, 4.0)
+            transforms.append(Scale(float(r)))
         elif k == 2:
-            transforms.append(Translate(complex(rng.uniform(-2, 2), rng.uniform(-2, 2))))
+            transforms.append(Translate(complex(coord(), coord())))
         elif k == 3:
             transforms.append(Invert())
         elif k == 4:
@@ -86,7 +99,7 @@ def _random_region(rng):
             transforms.append(Scale(int(rng.integers(1, 5))))
         else:
             transforms.append(Translate(int(rng.integers(-2, 3))))
-    return Region(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)), tuple(transforms))
+    return Region(complex(coord(), coord()), tuple(transforms))
 
 
 def _coords(rng, n=300):
@@ -96,25 +109,41 @@ def _coords(rng, n=300):
     return zr, zi
 
 
+def _extreme_coords(rng, n):
+    """Probes of both signs with moduli from 5e-324 to 1.8e308, and zeros."""
+    moduli = np.ldexp(rng.uniform(1.0, 2.0, (2, n)), rng.integers(-1074, 1024, (2, n)))
+    zr, zi = moduli * rng.choice([-1.0, 1.0], (2, n))
+    return np.concatenate([zr, [0.0, -0.0, 1e308]]), np.concatenate([zi, [0.0, 5e-324, -1e308]])
+
+
 def _points(zr, zi):
     return [complex(x, y) for x, y in zip(zr.tolist(), zi.tolist())]
 
 
-def _region_margin(region, z):
-    """Scalar reference for one region's margin at z: inf at a pole."""
+def _region_value(region, z):
+    """Scalar reference for one region's value at z: its pulled-back probe
+    minus its base anchor, or None at a pole."""
     try:
         wr, wi = pull_back(region, z.real, z.imag, _invert_point)
     except PoleError:
-        return math.inf
-    return _kernels.tie_margin(wr - region.base.real, wi - region.base.imag)
+        return None
+    return wr - region.base.real, wi - region.base.imag
+
+
+def _region_margin(region, z):
+    """Scalar reference for one region's margin at z: inf at a pole."""
+    value = _region_value(region, z)
+    return math.inf if value is None else _kernels.tie_margin(*value)
 
 
 def _solution_margin(solution, z):
-    """Scalar reference for solution_grid_margin's margin at z."""
-    if not solution.regions or z in solution.excluded_points:
+    """Scalar reference for solution_grid_margin's margin at z: inf at a
+    pole, else the least region margin, nan if one is nan (as np.minimum)."""
+    values = [_region_value(region, z) for region in solution.regions]
+    if not values or None in values or z in solution.excluded_points:
         return math.inf
-    margins = [_region_margin(region, z) for region in solution.regions]
-    return math.inf if math.inf in margins else min(margins)
+    margins = [_kernels.tie_margin(*v) for v in values]
+    return math.nan if any(map(math.isnan, margins)) else min(margins)
 
 
 class TestBitEquality:
@@ -127,17 +156,32 @@ class TestBitEquality:
             expected = [int(contains(region, z)) for z in _points(zr, zi)]
             assert codes.tolist() == expected
 
-    def test_region_grids(self):
-        """One region's codes and margins, through a one-region solution,
-        against the scalar pullback and tie margin."""
-        rng = np.random.default_rng(42)
-        zr, zi = _coords(rng, 60)
-        for _ in range(40):
-            region = _random_region(rng)
-            codes, margins = solution_grid_margin(SolutionSet.single(region), zr, zi)
-            points = _points(zr, zi)
-            assert codes.tolist() == [int(contains(region, z)) for z in points]
-            assert margins.tolist() == [_region_margin(region, z) for z in points]
+    @pytest.mark.parametrize("extreme", [False, True])
+    def test_region_grids(self, extreme):
+        """One region's codes and margins, through membership_grid and a
+        one-region solution, against the scalar pullback and tie margin.
+
+        The extreme draws pull lanes back to ±inf and nan.  The grid
+        reduces a region's value, its pulled-back probe minus its anchor,
+        and the scalar path compares the probe with the anchor; they agree
+        bit for bit, as floats subtract to 0 only when equal, the
+        difference keeps their order, and ±inf and nan carry through.
+        """
+        rng = np.random.default_rng(54 if extreme else 42)
+        zr, zi = _extreme_coords(rng, 600) if extreme else _coords(rng, 60)
+        points = _points(zr, zi)
+        nan = inf = 0
+        for _ in range(150 if extreme else 40):
+            region = _random_region(rng, extreme)
+            with np.errstate(all="ignore" if extreme else "warn"):
+                codes, margins = solution_grid_margin(SolutionSet.single(region), zr, zi)
+                assert membership_grid(region, zr, zi).tobytes() == codes.tobytes()
+            assert codes.tolist() == [int(contains(region, z)) for z in points], region
+            expected = np.array([_region_margin(region, z) for z in points])
+            assert margins.tobytes() == expected.tobytes(), region
+            nan += int(np.count_nonzero(np.isnan(margins)))
+            inf += int(np.count_nonzero(np.isinf(margins) & (codes != Membership.POLE)))
+        assert not extreme or (nan > 1000 and inf > 1000)
 
     @pytest.mark.parametrize("name", PROBLEMS)
     def test_problem_grids(self, name):
@@ -217,21 +261,25 @@ class TestCodesOnlyPaths:
         codes, _ = solution_grid_margin(solution, zr, zi)
         assert solution_grid(solution, zr, zi).tobytes() == codes.tobytes()
 
-    def test_intersections_with_excluded_points(self):
-        rng = np.random.default_rng(49)
-        zr, zi = _coords(rng, 60)
+    @pytest.mark.parametrize("extreme", [False, True])
+    def test_intersections_with_excluded_points(self, extreme):
+        rng = np.random.default_rng(55 if extreme else 49)
+        zr, zi = _extreme_coords(rng, 600) if extreme else _coords(rng, 60)
         points = _points(zr, zi)
         excluded = (0j, 1 + 0j)
         for _ in range(40):
-            regions = (_random_region(rng), _random_region(rng))
+            regions = (_random_region(rng, extreme), _random_region(rng, extreme))
             for solution in (SolutionSet.intersection(regions, excluded),
                              SolutionSet.single(regions[0], excluded),
                              SolutionSet.universe(excluded),
                              SolutionSet.empty(excluded)):
-                codes = solution_grid(solution, zr, zi)
-                expected, _ = solution_grid_margin(solution, zr, zi)
+                with np.errstate(all="ignore" if extreme else "warn"):
+                    codes = solution_grid(solution, zr, zi)
+                    expected, margins = solution_grid_margin(solution, zr, zi)
                 assert codes.tobytes() == expected.tobytes()
                 assert codes.tolist() == [int(solution_contains(solution, z)) for z in points]
+                expected = np.array([_solution_margin(solution, z) for z in points])
+                assert margins.tobytes() == expected.tobytes(), solution
 
 
 # Axis values i/4 - 2, all exact: the grid holds every quarter of [-2, 2]^2.

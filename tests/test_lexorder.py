@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,6 +18,11 @@ dyadic = st.integers(-64, 64).map(lambda k: k / 8.0)
 dyadic_complex = st.builds(complex, dyadic, dyadic)
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 finite_complex = st.builds(complex, finite_floats, finite_floats)
+
+
+# Signed zeros, the smallest subnormal and normal, 1 and the largest float
+LATTICE = [s * x for x in (0.0, 5e-324, 2.2250738585072014e-308, 1.0, 1.7976931348623157e308)
+           for s in (1.0, -1.0)]
 
 
 def tuple_cmp(a: complex, b: complex) -> int:
@@ -38,6 +44,21 @@ class TestLexCmp:
     @given(finite_complex, finite_complex)
     def test_agrees_with_tuple_comparison(self, a, b):
         assert int(lex_cmp(a, b)) == tuple_cmp(a, b)
+
+    def test_agrees_with_tuple_comparison_on_the_lattice(self):
+        points = [complex(x, y) for x in LATTICE for y in LATTICE]
+        for a in points:
+            for b in points:
+                assert int(lex_cmp(a, b)) == tuple_cmp(a, b), (a, b)
+
+    @pytest.mark.parametrize("scalar", [np.complex128, np.float64])
+    def test_numpy_scalar_operands(self, scalar):
+        # their parts are numpy floats, so each test answers np.bool_
+        ys = LATTICE[:3] if scalar is np.complex128 else [0.0]
+        points = [scalar(complex(x, y) if y else x) for x in LATTICE for y in ys]
+        for a in points:
+            for b in points:
+                assert lex_cmp(a, b) is Ordering(tuple_cmp(complex(a), complex(b))), (a, b)
 
     @given(finite_complex)
     def test_reflexivity(self, a):

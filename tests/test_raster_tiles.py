@@ -221,7 +221,8 @@ class TestTiling:
         Linear(1 + 0j, 0.3 + 0j),  # one column of blocks straddles Re z = 0.3
         Linear(1j, 0j),            # every block straddles Im z = 0: all lanes evaluated
         Linear(0j, 1j),            # real part 0 on every lane: all lanes take the tie path
-    ], ids=["boundary", "every-block-open", "all-tied"])
+        Region(-1 + 0j, (Sqrt(),)),  # membership_grid on every row batch
+    ], ids=["boundary", "every-block-open", "all-tied", "region"])
     def test_memory_is_bounded_by_a_tile(self, problem):
         # 2^21 x 4 cells: the raster's own bytes (8 MiB) plus a few tiles
         # of temporaries, never an array per cell or a whole row's axis
@@ -239,7 +240,9 @@ class TestTiling:
             zr = oracle._axis(grid.re_min, grid.re_max, grid.nx, c0, c0 + TILE)
             zi = np.full(TILE, grid.im_axis()[row])
             start = row * grid.nx + c0
-            assert bitmap.cells[start:start + TILE].tobytes() == problem_grid(problem, zr, zi)[0].tobytes()
+            direct = (membership_grid(problem, zr, zi) if isinstance(problem, Region)
+                      else problem_grid(problem, zr, zi)[0])
+            assert bitmap.cells[start:start + TILE].tobytes() == direct.tobytes()
 
     @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
     def test_region_raster_matches_whole_grid(self, grid):

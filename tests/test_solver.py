@@ -64,6 +64,10 @@ class TestSolveLinear:
         assert solve_linear(0j, 2j).kind is SolutionKind.EMPTY
         assert solve_linear(0j, -2j).kind is SolutionKind.ALL
 
+    def test_numpy_scalar_coefficients(self):
+        assert solve_linear(np.complex128(0), np.complex128(1)).kind is SolutionKind.EMPTY
+        assert solve_linear(np.complex128(0), np.complex128(-1)).kind is SolutionKind.ALL
+
     def test_positive_power_of_two_scaling_gives_identical_region(self):
         rng = np.random.default_rng(10)
         for _ in range(50):
