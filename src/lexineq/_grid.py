@@ -9,11 +9,13 @@ sides (``oracle``) or regions' pulled-back probes minus their anchors
 (``region``, ``solver``).  :func:`codes` turns the decision into
 membership codes, which is all a raster needs; :func:`margins` computes
 the tie margins that only verification reads, and only the callers that
-read them run it.  A raster first decides each lane on the
-real parts alone (:func:`cdiv_real`, :func:`decide_real`), since the
-imaginary part only breaks exact ties.  Results are bit-identical to the
-scalar path.  Complex dtype is deliberately avoided: numpy's own complex
-division rounds differently from the shared Smith helper.
+read them run it.  An inequality's lanes, for a raster and for
+``oracle.problem_grid`` alike, are first decided on the real parts alone
+(:func:`cdiv_real`, :func:`decide_real`), since the imaginary part only
+breaks exact ties; the two reductions run on the lanes those leave open.
+Results are bit-identical to the scalar path.  Complex dtype is
+deliberately avoided: numpy's own complex division rounds differently
+from the shared Smith helper.
 """
 
 from __future__ import annotations
@@ -126,11 +128,6 @@ def box_cdiv_real(ar, ai, br, bi):
     return Box(lo, hi)
 
 
-def tie_margin(dr, di):
-    """Elementwise :func:`_kernels.tie_margin`."""
-    return np.where(dr != 0.0, np.abs(dr), np.abs(di))
-
-
 def at_least_zero(values):
     """Lanes where every ``(re, im)`` pair of ``values`` is >= 0."""
     (vr, vi), *rest = values
@@ -172,13 +169,13 @@ def codes(inside, pole, out=None):
 
 
 def margins(values, pole):
-    """Smallest tie margin over the ``(re, im)`` pairs of ``values``.
+    """Least :func:`_kernels.tie_margin` over the ``(re, im)`` pairs of ``values``.
 
     Infinite where ``pole`` is set (None when no lane can be a pole).
     """
     result = None
     for vr, vi in values:
-        margin = tie_margin(vr, vi)
+        margin = np.where(vr != 0.0, np.abs(vr), np.abs(vi))
         result = margin if result is None else np.minimum(result, margin, out=result)
     if pole is not None:
         result[pole] = np.inf

@@ -291,9 +291,8 @@ def _cmd_raster(args) -> int:
         with open(args.out, "wb") as fh:
             fh.write(payload)
     else:
-        payload = bitmap.to_csv()
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
+            fh.writelines(bitmap._csv_pieces())  # as they are made: the text is never whole
     return 0
 
 

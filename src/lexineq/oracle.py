@@ -12,34 +12,28 @@ pieces of at most ``_TILE_POINTS`` columns (:func:`_pieces`), whole
 rows of a piece at a time (:func:`_row_batches`), so that they hold no
 array longer than a tile, whatever the grid.
 
-A raster needs only that decision per cell, so :func:`sample_raster`
-reduces the computed values to membership codes alone, on three levels:
+Every array evaluation of an inequality, a raster's and that of
+:func:`problem_grid` (and so of :func:`verify`), decides on three levels:
 
-1. A raster of an inequality settles whole blocks of cells from bounds
-   of the computed real parts (:func:`_block_codes`): their own trees,
-   run by :func:`_constraint_reals` on ``_grid.Box`` ranges of the
-   block's coordinates.  Every rounded ``+ - * /`` is monotone in each
-   operand, so it is bounded by its values at its operands' ends; a
-   division only by a range without 0.  A block is in when every
-   constraint's bounds are finite and > 0, and out when some
-   constraint's are finite and < 0 and none's are nan (a fraction's pole
-   cell is a pole whatever the others say): the codes its cells would
-   get lane by lane, bit for bit.  A nan or inf bound keeps a block open.
-2. The cells of the other blocks are decided on the real parts of
-   their values, as the dictionary order does.
-3. The imaginary parts and the pole mask are computed only on the few
-   cells where a real part is 0 or nan (every pole is one).
+1. A raster first settles whole blocks of cells from bounds of the
+   computed real parts (:func:`_block_codes`): their own trees, run by
+   :func:`_constraint_reals` on ``_grid.Box`` ranges of the block's
+   coordinates, give the codes its cells would get lane by lane, bit for
+   bit.  A nan or inf bound keeps a block open.
+2. :func:`_decide_lanes` decides the lanes of the other blocks, and every
+   lane of :func:`problem_grid`, on the real parts of their values, as
+   the dictionary order does.
+3. It computes the imaginary parts and the pole mask only on the few
+   lanes where a real part is 0 or nan (every pole is one).
 
 The bounds are those of the computed real part, not of the exact one.
 Once ties are decided exactly (ROADMAP item 2), a block may be settled
 only where ``lo`` exceeds the error bound of that computation, not 0.
 The tie margins are computed only by :func:`verify` and the APIs that
 return them, :func:`problem_grid` and ``solver.solution_grid_margin``.
-
-Probes too close to the order's decision boundary are excluded by a
-margin test rather than asserted: two different but mathematically
-equivalent float computations may legitimately round to different sides
-there.
+Probes too close to the order's decision boundary are excluded by that
+margin rather than asserted: two different but mathematically equivalent
+float computations may legitimately round to different sides there.
 
 numpy is imported by the array functions only (grid axes, points and
 tiles, :class:`Bitmap` writers, :func:`problem_grid`, :func:`verify`,
@@ -86,12 +80,11 @@ __all__ = [
 DEFAULT_EPS = 1e-6
 
 # Largest grid accepted, in cells.  A raster needs one tile of float64
-# temporaries plus one byte per cell (its code), whatever the row width,
-# but the writers build the whole file text in memory: PGM a buffer of 2
-# bytes per cell filled in one uint16 pass (``to_pgm`` also decodes it to
-# a string; ``lexineq raster`` writes the buffer itself), CSV one string
-# per column, the text's pieces and the joined text (about 20-50 bytes
-# per cell each).  The cap keeps a CSV's text under a gigabyte.
+# temporaries plus one byte per cell (its code), whatever the row width;
+# ``lexineq raster`` adds a PGM buffer of 2 bytes per cell, or one string
+# per column while it writes a CSV piece by piece.  Only ``to_pgm`` and
+# ``to_csv`` hold a whole file's text, a CSV's at about 20-50 bytes per
+# cell, in its pieces and again joined: the cap keeps that under a gigabyte.
 MAX_CELLS = 1 << 24
 
 # Most grid points evaluated at once, whatever the row width: a row longer
@@ -271,12 +264,17 @@ class Bitmap:
 
     def to_csv(self) -> str:
         """CSV with columns re,im,state; states are in/out/pole."""
+        return "".join(self._csv_pieces())
+
+    def _csv_pieces(self) -> Iterator[str]:
+        """The text of :meth:`to_csv` as it is made, for ``lexineq raster`` to
+        write: the header, then the lines of each run of equal codes, bottom row first."""
         import numpy as np
 
         g = self.grid
         re_text = [repr(x) for x in g.re_axis().tolist()]
         states = ("out\n", "pole\n", "in\n")  # indexed by code: OUT, POLE, IN = 0, 1, 2
-        lines = ["re,im,state\n"]
+        yield "re,im,state\n"
         for y, codes in zip(g.im_axis().tolist(), self.cells.reshape(g.ny, g.nx)):
             # a run of equal codes shares its tail ",im,state": the run's
             # lines are its re texts, each followed by the tail
@@ -284,9 +282,8 @@ class Bitmap:
             cuts = (np.flatnonzero(codes[1:] != codes[:-1]) + 1).tolist()
             starts = [0, *cuts]
             for c0, c1, code in zip(starts, [*cuts, g.nx], codes[starts].tolist()):
-                lines.append(tails[code].join(re_text[c0:c1]))
-                lines.append(tails[code])
-        return "".join(lines)
+                yield tails[code].join(re_text[c0:c1])
+                yield tails[code]
 
 
 @record
@@ -404,30 +401,53 @@ def boundary_margin(problem: InequalityProblem, z: complex) -> float:
 
 def problem_grid(problem: InequalityProblem, zr: np.ndarray,
                  zi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized direct evaluation: (membership codes, margins).
+    """Vectorized direct evaluation at flat lanes zr + zi*i: (membership codes, margins).
 
-    Evaluates the same constraint values as :func:`eval_direct` on
-    arrays, bit for bit.  The margins are :func:`boundary_margin` at
-    each probe, and infinite at a pole.  A sub-ulp real residue thus
-    reports a tiny margin, marking the decision as resting on rounding
-    noise; :func:`verify` skips such probes.
+    Decides the lanes as a raster does (:func:`_decide_lanes`), with the
+    codes of :func:`eval_direct`, bit for bit.  The margins are
+    :func:`boundary_margin` at each probe, and infinite at a pole.  A
+    sub-ulp real residue thus reports a tiny margin, marking the decision
+    as resting on rounding noise; :func:`verify` skips such probes.
     """
+    import numpy as np
+
+    zr = np.ascontiguousarray(zr, dtype=np.float64)
+    zi = np.ascontiguousarray(zi, dtype=np.float64)
+    codes = np.empty(zr.shape[0], dtype=np.uint8)
+    return codes, _decide_lanes(problem, zr, zi, codes, margins=True)
+
+
+def _decide_lanes(problem: InequalityProblem, zr: np.ndarray, zi: np.ndarray,
+                  out: np.ndarray, margins: bool = False) -> np.ndarray | None:
+    """Write the codes of the float64 lanes zr + zi*i to ``out`` (as many
+    cells, of any shape); with ``margins``, return their tie margins.
+
+    The real parts decide every lane but those where one is 0 or nan
+    (every pole lane is one); only there are the full values and the pole
+    mask computed, on the whole batch when every lane is one.
+    """
+    import functools
+
     import numpy as np
 
     from . import _grid
 
-    zr = np.ascontiguousarray(zr, dtype=np.float64)
-    zi = np.ascontiguousarray(zi, dtype=np.float64)
-    values, pole = _problem_lanes(problem, zr, zi)
-    codes = _grid.codes(_grid.at_least_zero(values), pole)
-    return codes, _grid.margins(values, pole)
-
-
-def _problem_lanes(problem: InequalityProblem, zr: np.ndarray, zi: np.ndarray):
-    """Constraint values at float64 lanes, and the pole mask (None if no pole)."""
-    from . import _grid
-
-    return _constraint_values(problem, zr, zi, _grid.cdiv), _pole(problem, zr, zi)
+    reals = _constraint_reals(problem, zr, zi, _grid.cdiv_real)
+    inside, undecided = _grid.decide_real(reals)
+    _grid.codes(inside.reshape(out.shape), None, out)
+    # where the real parts decide a lane, each is finite and nonzero: its margin is min |Re|
+    margin = functools.reduce(np.minimum, map(np.abs, reals)) if margins else None
+    del reals  # not held while the lanes left open are evaluated
+    idx = np.flatnonzero(undecided)
+    if idx.size:
+        if idx.size == zr.shape[0]:  # as in `0*Z >= 1i`: every lane, with no gather
+            idx = slice(None)
+        zr, zi = zr[idx], zi[idx]
+        values, pole = _constraint_values(problem, zr, zi, _grid.cdiv), _pole(problem, zr, zi)
+        out.flat[idx] = _grid.codes(_grid.at_least_zero(values), pole)
+        if margins:
+            margin[idx] = _grid.margins(values, pole)
+    return margin
 
 
 def verify(problem: InequalityProblem, solution: SolutionSet,
@@ -489,13 +509,10 @@ def sample_raster(source: Region | InequalityProblem, grid: GridSpec) -> Bitmap:
     walked piece by piece (:func:`_pieces`).  A raster of an inequality
     first settles whole blocks of a piece from exact bounds of the real
     parts (:func:`_fill_blocks`); every other piece is filled whole rows
-    at a time.  Its lanes are decided on the real parts of their values;
-    the full values of :func:`problem_grid` decide only the lanes where
-    one is 0 or nan.
+    at a time.  Its lanes are decided as :func:`problem_grid` decides
+    them (:func:`_decide_lanes`).
     """
     import numpy as np
-
-    from . import _grid
 
     # fill(zr, zi, out) writes the codes of the lanes zr + zi*i, in order,
     # to out: as many cells, of any shape, so that out may be a view of rows
@@ -503,20 +520,7 @@ def sample_raster(source: Region | InequalityProblem, grid: GridSpec) -> Bitmap:
     bounded = isinstance(source, InequalityProblem)
     if bounded:
         def fill(zr, zi, out):
-            # the real parts decide every lane but those where one is 0 or
-            # nan (every pole lane is one); the full values decide those
-            inside, undecided = _grid.decide_real(_constraint_reals(source, zr, zi,
-                                                                    _grid.cdiv_real))
-            _grid.codes(inside.reshape(out.shape), None, out)
-            idx = np.flatnonzero(undecided)
-            if idx.size == 0:
-                return
-            if idx.size == zr.shape[0]:
-                # a real part that is 0 everywhere, as in `0*Z >= 1i`:
-                # take all the lanes, without a gather
-                idx = slice(None)
-            values, pole = _problem_lanes(source, zr[idx], zi[idx])
-            out.flat[idx] = _grid.codes(_grid.at_least_zero(values), pole)
+            _decide_lanes(source, zr, zi, out)
     else:
         from .region import Region, membership_grid  # a raster of a problem needs neither
 
@@ -532,7 +536,7 @@ def sample_raster(source: Region | InequalityProblem, grid: GridSpec) -> Bitmap:
     cells = np.empty(nx * ny, dtype=np.uint8)
     view = cells.reshape(ny, nx)
     for r0, c0, xs, ys in _pieces(grid, rows):
-        if bounded and _fill_blocks(source, fill, view, r0, c0, xs, ys):
+        if bounded and _fill_blocks(source, view, r0, c0, xs, ys):
             continue
         w = xs.shape[0]
         for i, zr, zi in _row_batches(xs, ys):
@@ -540,7 +544,7 @@ def sample_raster(source: Region | InequalityProblem, grid: GridSpec) -> Bitmap:
     return Bitmap(grid=grid, cells=cells)
 
 
-def _fill_blocks(problem: InequalityProblem, fill, view: np.ndarray, r0: int, c0: int,
+def _fill_blocks(problem: InequalityProblem, view: np.ndarray, r0: int, c0: int,
                  xs: np.ndarray, ys: np.ndarray) -> bool:
     """Fill the piece of the raster ``view`` (ny x nx) from row ``r0`` and
     column ``c0``, at axis values ``xs`` and ``ys``, block by block; False,
@@ -549,7 +553,7 @@ def _fill_blocks(problem: InequalityProblem, fill, view: np.ndarray, r0: int, c0
     The piece is cut into blocks of ``_BLOCK`` x ``_BLOCK`` points, and
     :func:`_block_codes` settles most of them whole.  The lanes of the
     others are gathered from the axis values, at most ``_TILE_POINTS``
-    at a time, and ``fill`` decides them as it does a row batch's.
+    at a time, and :func:`_decide_lanes` decides them as it does a row batch's.
     """
     import numpy as np
 
@@ -574,8 +578,8 @@ def _fill_blocks(problem: InequalityProblem, fill, view: np.ndarray, r0: int, c0
         c = np.minimum((bj * b)[:, None] + offsets, w - 1)
         shape = (r.shape[0], b, b)
         out = np.empty(shape, dtype=np.uint8)
-        fill(np.broadcast_to(xs[c][:, None, :], shape).ravel(),
-             np.broadcast_to(ys[r][:, :, None], shape).ravel(), out)
+        _decide_lanes(problem, np.broadcast_to(xs[c][:, None, :], shape).ravel(),
+                      np.broadcast_to(ys[r][:, :, None], shape).ravel(), out)
         cells[((r + r0) * view.shape[1])[:, :, None] + (c + c0)[:, None, :]] = out
     return True
 

@@ -5,8 +5,9 @@ are the first ones of the benchmark's ``frontend`` corpus, seeds 0 and 7,
 of every class, and systems that join their constraints across classes;
 the probes are uniform in the corpus window, so the float evaluation
 rounds.  Wherever every constraint's exact real part exceeds ``AWAY``
-times the sum of the moduli of its terms, ``eval_direct`` and
-``solution_contains`` must both give the judge's answer.
+times the sum of the moduli of its terms, ``eval_direct``,
+``problem_grid``, ``solution_contains`` and the cells of
+``sample_raster`` must all give the judge's answer.
 """
 
 import functools
@@ -19,7 +20,7 @@ import pytest
 
 import exact
 from lexineq import normalize, parser
-from lexineq.oracle import eval_direct
+from lexineq.oracle import GridSpec, eval_direct, problem_grid, sample_raster
 from lexineq.solver import Fractional, Linear, System, solution_contains, solve
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -30,6 +31,13 @@ _SPEC.loader.exec_module(inputs)
 AWAY = 2.0 ** -20
 PER_CLASS = 50
 PROBES = 24
+# Rasters judged per class and seed, cell by cell, on a window of the
+# corpus window's size whose axis values are not dyadic, so that the
+# evaluation rounds.  33 points a side make 16 x 16 blocks and a remainder:
+# few enough cells to judge them all, and where the bounds settle most
+# blocks (in some linear and system rasters) the blocks decide cells too.
+RASTERS = 3
+RASTER_GRID = GridSpec(-4.9, 5.1, -5.3, 4.7, 33, 33)
 
 
 @functools.cache
@@ -57,26 +65,58 @@ def _mixed_systems(seed):
     return systems
 
 
-@pytest.mark.parametrize("seed", [0, 7])
-@pytest.mark.parametrize("kind", [*inputs.CLASSES, "mixed-system"])
-def test_away_from_the_boundary(seed, kind):
+def _problems(seed, kind):
     if kind == "mixed-system":
-        problems = _mixed_systems(seed)
-    else:
-        problems = [p for k, p in _corpus(seed) if k == kind]
+        return _mixed_systems(seed)
+    return [p for k, p in _corpus(seed) if k == kind]
+
+
+def _judged(problem, z):
+    """The judge's membership at z, or None within ``AWAY`` of the boundary."""
+    vs = exact.values(problem, z)
+    if any(v is not None and abs(v[0]) <= AWAY * v[2] for v in vs):
+        return None
+    return exact.decide(vs)
+
+
+KINDS = [*inputs.CLASSES, "mixed-system"]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("kind", KINDS)
+def test_away_from_the_boundary(seed, kind):
+    problems = _problems(seed, kind)
     rng = np.random.default_rng([seed, 2])
     asserted = 0
     for problem in problems:
         solution = solve(problem)
-        for z in inputs.probes(rng, PROBES):
-            vs = exact.values(problem, z)
-            if any(v is not None and abs(v[0]) <= AWAY * v[2] for v in vs):
-                continue
-            expected = exact.decide(vs)
+        judged = [(z, m) for z in inputs.probes(rng, PROBES)
+                  if (m := _judged(problem, z)) is not None]
+        for z, expected in judged:
             assert eval_direct(problem, z) is expected, (problem, z)
             assert solution_contains(solution, z) is expected, (problem, z)
-            asserted += 1
+        # the same probes, as the lanes of one array
+        codes, _ = problem_grid(problem, np.array([z.real for z, _ in judged]),
+                                np.array([z.imag for z, _ in judged]))
+        assert codes.tolist() == [int(m) for _, m in judged], problem
+        asserted += len(judged)
     assert asserted > 0.9 * len(problems) * PROBES
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("kind", KINDS)
+def test_raster_cells_away_from_the_boundary(seed, kind):
+    zr, zi = RASTER_GRID.points()
+    points = [complex(x, y) for x, y in zip(zr.tolist(), zi.tolist())]
+    asserted = 0
+    for problem in _problems(seed, kind)[:RASTERS]:
+        cells = sample_raster(problem, RASTER_GRID).cells.tolist()
+        for z, cell in zip(points, cells):
+            expected = _judged(problem, z)
+            if expected is not None:
+                assert cell == expected, (problem, z)
+                asserted += 1
+    assert asserted > 0.9 * RASTERS * len(points)
 
 
 def test_judge_on_hand_cases():

@@ -18,8 +18,8 @@ from lexineq import _grid, _kernels, oracle
 from lexineq.errors import PoleError
 from lexineq.oracle import (
     GridSpec,
-    _problem_lanes,
-    _values,
+    _constraint_values,
+    _pole,
     boundary_margin,
     eval_direct,
     problem_grid,
@@ -120,6 +120,28 @@ def _points(zr, zi):
     return [complex(x, y) for x, y in zip(zr.tolist(), zi.tolist())]
 
 
+def _assert_matches_scalar(problem, zr, zi):
+    """``problem_grid`` against the scalar references, lane by lane: codes
+    ``eval_direct``'s, margin bytes ``boundary_margin``'s (inf at a pole,
+    and nan lanes counted too).  Returns its codes."""
+    codes, margins = problem_grid(problem, zr, zi)
+    points = _points(zr, zi)
+    assert codes.tolist() == [int(eval_direct(problem, z)) for z in points]
+    expected = []
+    for z in points:
+        try:
+            expected.append(boundary_margin(problem, z))
+        except PoleError:
+            expected.append(math.inf)
+    assert margins.tobytes() == np.array(expected).tobytes()
+    return codes
+
+
+def _full_values(problem, zr, zi):
+    """Every lane's constraint values and the pole mask, with no lane decided first."""
+    return _constraint_values(problem, zr, zi, _grid.cdiv), _pole(problem, zr, zi)
+
+
 def _region_value(region, z):
     """Scalar reference for one region's value at z: its pulled-back probe
     minus its base anchor, or None at a pole."""
@@ -193,24 +215,7 @@ class TestBitEquality:
     @pytest.mark.parametrize("name", PROBLEMS)
     def test_problem_grid_margins(self, name):
         problem = PROBLEMS[name]
-        zr, zi = _coords(np.random.default_rng(45))
-        codes, margins = problem_grid(problem, zr, zi)
-        expected = []
-        for z in _points(zr, zi):
-            try:
-                values = _values(problem, z)
-            except PoleError:
-                expected.append(math.inf)
-                continue
-            expected.append(min(_kernels.tie_margin(v.real, v.imag) for v in values))
-        assert margins.tolist() == expected
-        public = []
-        for z in _points(zr, zi):
-            try:
-                public.append(boundary_margin(problem, z))
-            except PoleError:
-                public.append(math.inf)
-        assert margins.tolist() == public
+        codes = _assert_matches_scalar(problem, *_coords(np.random.default_rng(45)))
         if isinstance(problem, Fractional):
             assert Membership.POLE in codes.tolist()
 
@@ -302,18 +307,19 @@ TIED = {
 
 
 class TestUndecidedLanes:
-    """A raster decides each lane on the real parts of the values, and
-    computes the imaginary parts and the pole mask only where a real part
-    is 0 or nan.  Those lanes must get the codes of the full path."""
+    """Rasters and ``problem_grid`` decide each lane on the real parts of
+    the values, and compute the imaginary parts and the pole mask only
+    where a real part is 0 or nan.  Those lanes must get the codes and
+    margins of the scalar references."""
 
     @pytest.mark.parametrize("name", TIED)
     def test_ties_match_problem_grid(self, name):
         problem = TIED[name]
         zr, zi = LATTICE.points()
         cells = sample_raster(problem, LATTICE).cells
-        codes, _ = problem_grid(problem, zr, zi)
+        codes = _assert_matches_scalar(problem, zr, zi)
         assert cells.tobytes() == codes.tobytes()
-        values, pole = _problem_lanes(problem, zr, zi)
+        values, pole = _full_values(problem, zr, zi)
         tied = [vr == 0.0 for vr, _ in values]
         # the imaginary part breaks ties both ways
         assert any(np.any(t & (vi > 0.0)) and np.any(t & (vi < 0.0))
@@ -329,7 +335,7 @@ class TestUndecidedLanes:
         # 0*Z >= b: Re v = 0 on every lane, so Im v = -Im b decides them all
         problem = Linear(0j, b)
         cells = sample_raster(problem, POLE_GRID).cells
-        codes, _ = problem_grid(problem, *POLE_GRID.points())
+        codes = _assert_matches_scalar(problem, *POLE_GRID.points())
         assert cells.tobytes() == codes.tobytes()
         assert set(cells.tolist()) == {Membership.IN if b == -1j else Membership.OUT}
 
@@ -339,8 +345,8 @@ class TestUndecidedLanes:
         problem = Linear(1.5e308 + 1.5e308j, 1e308 + 0j)
         with np.errstate(all="ignore"):
             cells = sample_raster(problem, POLE_GRID).cells
-            codes, _ = problem_grid(problem, *POLE_GRID.points())
-            values, _ = _problem_lanes(problem, *POLE_GRID.points())
+            codes = _assert_matches_scalar(problem, *POLE_GRID.points())
+            values, _ = _full_values(problem, *POLE_GRID.points())
         assert np.any(np.isnan(values[0][0]))
         assert cells.tobytes() == codes.tobytes()
 

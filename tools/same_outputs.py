@@ -9,9 +9,11 @@ of this checkout (which is imported and never changed) for the seeds
 in ``SEEDS``:
 
 * ``lexineq solve`` and ``solve --verify`` over the ``frontend`` corpus;
-* ``lexineq raster`` PGM and CSV file bytes at 1001 x 1001, and the
-  ``oracle.sample_raster`` cells at 1001 x 1001 and 257 x 193, over the
-  ``raster-write`` corpus;
+* ``lexineq raster`` PGM and CSV file bytes at 1001 x 1001, the
+  ``oracle.sample_raster`` cells at 1001 x 1001 and 257 x 193, and the
+  codes and margin bytes of ``oracle.problem_grid`` on the default
+  verification grid (no CLI output shows a margin, except through the
+  counts of ``verify``), over the ``raster-write`` corpus;
 * every ``cli-cold`` call (``solve``, ``solve --verify``, ``check``,
   ``laws`` and refused inputs).
 
@@ -98,6 +100,8 @@ def _worker() -> None:
                         grid = oracle.GridSpec(*workloads.inputs.WINDOW, nx, ny)
                         emit(f"sample_raster {nx}x{ny}", i, prob.text,
                              oracle.sample_raster(problem, grid).cells.tobytes())
+                    codes, margins = oracle.problem_grid(problem, *oracle.default_grid().points())
+                    emit("problem_grid", i, prob.text, codes.tobytes(), margins.tobytes())
             finally:
                 raster.close()
             for i, (slot, _, argv) in enumerate(workloads.CliCold(seed, tmp, src).calls):
