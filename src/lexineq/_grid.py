@@ -2,23 +2,22 @@
 
 The helpers in ``_kernels`` that do only ``+ - * /`` run unchanged on
 arrays, so this module adds only what arrays need: Smith's branch chosen
-lane by lane with ``np.where``, pole lanes kept in a mask, and the two
-reductions of the computed values: one ``(re, im)`` pair per constraint,
-in where it is >= 0, and a pole mask, be they a problem's left-hand
-sides (``oracle``) or regions' pulled-back probes minus their anchors
-(``region``, ``solver``).  :func:`codes` turns the decision into
-membership codes, which is all a raster needs; :func:`margins` computes
-the tie margins that only verification reads, and only the callers that
-read them run it.  An inequality's lanes, for a raster and for
-``oracle.problem_grid`` alike, are first decided on the real parts alone
-(:func:`cdiv_real`, :func:`decide_real`), since the imaginary part only
-breaks exact ties; the two reductions run on the lanes those leave open.
-Results are bit-identical to the scalar path.  Complex dtype is
-deliberately avoided: numpy's own complex division rounds differently
-from the shared Smith helper.
+lane by lane with ``np.where`` (:func:`cdiv`, and :func:`cdiv_real` for
+the real part alone), pole lanes kept in a mask, and one decision of the
+dictionary order on computed values, :func:`decide`.  Problems
+(``oracle``), regions and solutions (``solver``) all reach it alike: one
+value per constraint, a problem's left-hand sides or regions' pulled-back
+probes minus their anchors, is >= 0 on a lane that is in.  The real parts
+decide every lane but those where one is 0 or nan, and only there are the
+full values and the pole mask computed; codes come for every lane, tie
+margins only for the callers that read them.  Results are bit-identical
+to the scalar path.  Complex dtype is deliberately avoided: numpy's own
+complex division rounds differently from the shared Smith helper.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -128,17 +127,8 @@ def box_cdiv_real(ar, ai, br, bi):
     return Box(lo, hi)
 
 
-def at_least_zero(values):
-    """Lanes where every ``(re, im)`` pair of ``values`` is >= 0."""
-    (vr, vi), *rest = values
-    inside = _kernels.at_least(vr, vi, 0.0, 0.0)
-    for vr, vi in rest:
-        inside &= _kernels.at_least(vr, vi, 0.0, 0.0)
-    return inside
-
-
 def decide_real(reals):
-    """The decision of :func:`at_least_zero` where the real parts settle it.
+    """The decision of the dictionary order where the real parts settle it.
 
     Returns ``(inside, undecided)``: ``inside`` marks the lanes where
     every real part is > 0, and ``undecided`` those where some real part
@@ -154,29 +144,44 @@ def decide_real(reals):
     return inside, undecided
 
 
-def codes(inside, pole, out=None):
-    """uint8 membership codes: IN where ``inside``, OUT elsewhere.
+def decide(reals, values, zr, zi, out=None, margins=False):
+    """Membership codes of the float64 lanes zr + zi*i, and with ``margins``
+    their tie margins (:func:`_kernels.tie_margin`, the least over the
+    constraints): ``(out, margins or None)``.
 
-    Lanes set in ``pole`` (None when no lane can be a pole) become POLE.
-    Like a numpy ufunc, writes into ``out`` when given, else into a new
-    array, and returns it.
+    ``reals`` holds each constraint's real part on every lane, nan at a
+    pole; passed straight into the call, they are freed before the open
+    lanes are evaluated.  They decide every lane where none is 0 or nan
+    (:func:`decide_real`), and there each is finite and nonzero, so the
+    margin is the least |Re|.  ``values(zr, zi)`` gives each
+    constraint's ``(re, im)`` value and the pole mask (None when no lane
+    can be a pole) on the lanes left open only, gathered, or on the
+    whole batch when every lane is open; a pole lane's code is POLE and
+    its margin inf.  The codes go to ``out`` (as many cells, of any
+    shape) when given, else to a new array.
     """
+    inside, undecided = decide_real(reals)
+    if out is None:
+        out = np.empty(inside.shape, dtype=np.uint8)
     # OUT is 0, so a True lane times IN is IN and a False lane OUT
-    out = np.multiply(inside.view(np.uint8), IN, out=out)
-    if pole is not None:
-        out[pole] = POLE
-    return out
-
-
-def margins(values, pole):
-    """Least :func:`_kernels.tie_margin` over the ``(re, im)`` pairs of ``values``.
-
-    Infinite where ``pole`` is set (None when no lane can be a pole).
-    """
-    result = None
-    for vr, vi in values:
-        margin = np.where(vr != 0.0, np.abs(vr), np.abs(vi))
-        result = margin if result is None else np.minimum(result, margin, out=result)
-    if pole is not None:
-        result[pole] = np.inf
-    return result
+    np.multiply(inside.reshape(out.shape).view(np.uint8), IN, out=out)
+    margin = functools.reduce(np.minimum, map(np.abs, reals)) if margins else None
+    del reals, inside
+    idx = np.flatnonzero(undecided)
+    if idx.size:
+        if idx.size == zr.shape[0]:  # as in `0*Z >= 1i`: every lane, with no gather
+            idx = slice(None)
+        lanes, pole = values(zr[idx], zi[idx])
+        inside = functools.reduce(np.logical_and, (_kernels.at_least(vr, vi, 0.0, 0.0)
+                                                   for vr, vi in lanes))
+        codes = np.multiply(inside.view(np.uint8), IN)
+        if pole is not None:
+            codes[pole] = POLE
+        out.flat[idx] = codes
+        if margins:
+            tie = functools.reduce(np.minimum, (np.where(vr != 0.0, np.abs(vr), np.abs(vi))
+                                                for vr, vi in lanes))
+            if pole is not None:
+                tie[pole] = np.inf
+            margin[idx] = tie
+    return out, margin

@@ -30,11 +30,7 @@ IN = 2
 
 def unrotate(wr, wi, c, s):
     """Multiply w by e^{-i theta}, with c = cos(theta), s = sin(theta)."""
-    t1 = wr * c
-    t2 = wi * s
-    t3 = wi * c
-    t4 = wr * s
-    return t1 + t2, t3 - t4
+    return wr * c + wi * s, wi * c - wr * s
 
 
 def cdiv_wide(ar, ai, br, bi):

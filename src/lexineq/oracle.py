@@ -12,25 +12,25 @@ pieces of at most ``_TILE_POINTS`` columns (:func:`_pieces`), whole
 rows of a piece at a time (:func:`_row_batches`), so that they hold no
 array longer than a tile, whatever the grid.
 
-Every array evaluation of an inequality, a raster's and that of
-:func:`problem_grid` (and so of :func:`verify`), decides on three levels:
+Every array evaluation, of an inequality (a raster's, :func:`problem_grid`'s)
+and of a region or solution (through ``solver``) alike, and so both sides
+of :func:`verify`, decides on the same levels:
 
-1. A raster first settles whole blocks of cells from bounds of the
-   computed real parts (:func:`_block_codes`): their own trees, run by
-   :func:`_constraint_reals` on ``_grid.Box`` ranges of the block's
-   coordinates, give the codes its cells would get lane by lane, bit for
-   bit.  A nan or inf bound keeps a block open.
-2. :func:`_decide_lanes` decides the lanes of the other blocks, and every
-   lane of :func:`problem_grid`, on the real parts of their values, as
-   the dictionary order does.
+1. A raster of an inequality first settles whole blocks of cells from
+   bounds of the computed real parts (:func:`_block_codes`): their own
+   trees, run by :func:`_constraint_reals` on ``_grid.Box`` ranges of
+   the block's coordinates, give the codes its cells would get lane by
+   lane, bit for bit.  A nan or inf bound keeps a block open.
+2. ``_grid.decide`` decides the other lanes on the real parts of their
+   values, as the dictionary order does (:func:`_decide_lanes` here).
 3. It computes the imaginary parts and the pole mask only on the few
    lanes where a real part is 0 or nan (every pole is one).
 
 The bounds are those of the computed real part, not of the exact one.
 Once ties are decided exactly (ROADMAP item 2), a block may be settled
 only where ``lo`` exceeds the error bound of that computation, not 0.
-The tie margins are computed only by :func:`verify` and the APIs that
-return them, :func:`problem_grid` and ``solver.solution_grid_margin``.
+``_grid.decide`` computes tie margins only for :func:`verify` and the
+APIs that return them, :func:`problem_grid` and ``solver.solution_grid_margin``.
 Probes too close to the order's decision boundary are excluded by that
 margin rather than asserted: two different but mathematically equivalent
 float computations may legitimately round to different sides there.
@@ -409,45 +409,24 @@ def problem_grid(problem: InequalityProblem, zr: np.ndarray,
     sub-ulp real residue thus reports a tiny margin, marking the decision
     as resting on rounding noise; :func:`verify` skips such probes.
     """
-    import numpy as np
-
-    zr = np.ascontiguousarray(zr, dtype=np.float64)
-    zi = np.ascontiguousarray(zi, dtype=np.float64)
-    codes = np.empty(zr.shape[0], dtype=np.uint8)
-    return codes, _decide_lanes(problem, zr, zi, codes, margins=True)
+    return _decide_lanes(problem, zr, zi, margins=True)
 
 
-def _decide_lanes(problem: InequalityProblem, zr: np.ndarray, zi: np.ndarray,
-                  out: np.ndarray, margins: bool = False) -> np.ndarray | None:
-    """Write the codes of the float64 lanes zr + zi*i to ``out`` (as many
-    cells, of any shape); with ``margins``, return their tie margins.
-
-    The real parts decide every lane but those where one is 0 or nan
-    (every pole lane is one); only there are the full values and the pole
-    mask computed, on the whole batch when every lane is one.
-    """
-    import functools
-
+def _decide_lanes(problem: InequalityProblem, zr, zi, out: np.ndarray | None = None,
+                  margins: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """``_grid.decide`` on the lanes zr + zi*i: the real parts of the
+    constraint values decide, and the full values and the pole mask are
+    computed only on the lanes those leave open."""
     import numpy as np
 
     from . import _grid
 
-    reals = _constraint_reals(problem, zr, zi, _grid.cdiv_real)
-    inside, undecided = _grid.decide_real(reals)
-    _grid.codes(inside.reshape(out.shape), None, out)
-    # where the real parts decide a lane, each is finite and nonzero: its margin is min |Re|
-    margin = functools.reduce(np.minimum, map(np.abs, reals)) if margins else None
-    del reals  # not held while the lanes left open are evaluated
-    idx = np.flatnonzero(undecided)
-    if idx.size:
-        if idx.size == zr.shape[0]:  # as in `0*Z >= 1i`: every lane, with no gather
-            idx = slice(None)
-        zr, zi = zr[idx], zi[idx]
-        values, pole = _constraint_values(problem, zr, zi, _grid.cdiv), _pole(problem, zr, zi)
-        out.flat[idx] = _grid.codes(_grid.at_least_zero(values), pole)
-        if margins:
-            margin[idx] = _grid.margins(values, pole)
-    return margin
+    zr = np.ascontiguousarray(zr, dtype=np.float64)
+    zi = np.ascontiguousarray(zi, dtype=np.float64)
+    return _grid.decide(_constraint_reals(problem, zr, zi, _grid.cdiv_real),
+                        lambda zr, zi: (_constraint_values(problem, zr, zi, _grid.cdiv),
+                                        _pole(problem, zr, zi)),
+                        zr, zi, out, margins)
 
 
 def verify(problem: InequalityProblem, solution: SolutionSet,
@@ -510,25 +489,22 @@ def sample_raster(source: Region | InequalityProblem, grid: GridSpec) -> Bitmap:
     first settles whole blocks of a piece from exact bounds of the real
     parts (:func:`_fill_blocks`); every other piece is filled whole rows
     at a time.  Its lanes are decided as :func:`problem_grid` decides
-    them (:func:`_decide_lanes`).
+    them (:func:`_decide_lanes`), and a region's as a one-region
+    solution's (``solver._decide_lanes``).
     """
     import numpy as np
 
-    # fill(zr, zi, out) writes the codes of the lanes zr + zi*i, in order,
-    # to out: as many cells, of any shape, so that out may be a view of rows
-    # of the raster
     bounded = isinstance(source, InequalityProblem)
     if bounded:
-        def fill(zr, zi, out):
-            _decide_lanes(source, zr, zi, out)
+        decide = _decide_lanes
     else:
-        from .region import Region, membership_grid  # a raster of a problem needs neither
+        from .region import Region  # a raster of a problem needs neither module
+        from .solver import SolutionSet
+        from .solver import _decide_lanes as decide
 
         if not isinstance(source, Region):
             raise TypeError(f"cannot rasterize {source!r}")
-
-        def fill(zr, zi, out):
-            out[...] = membership_grid(source, zr, zi).reshape(out.shape)
+        source = SolutionSet.single(source)
     nx, ny = grid.nx, grid.ny
     # a piece has at most _TILE_POINTS rows, and at most _TILE_POINTS blocks
     blocks_across = -(-min(nx, _TILE_POINTS) // _BLOCK)
@@ -540,7 +516,8 @@ def sample_raster(source: Region | InequalityProblem, grid: GridSpec) -> Bitmap:
             continue
         w = xs.shape[0]
         for i, zr, zi in _row_batches(xs, ys):
-            fill(zr, zi, view[r0 + i:r0 + i + zr.shape[0] // w, c0:c0 + w])
+            # the codes of a batch's lanes go straight to its rows of the raster
+            decide(source, zr, zi, view[r0 + i:r0 + i + zr.shape[0] // w, c0:c0 + w])
     return Bitmap(grid=grid, cells=cells)
 
 

@@ -11,6 +11,7 @@ as independent cross-checks in the tests.
 
 On the grid a region is a constraint: its value, the pulled-back probe
 minus the base anchor, is >= 0 in the region (TermMoving, bit for bit).
+``solver`` decides it as ``oracle`` decides a problem's, real part first.
 
 Membership answers are :class:`lexineq.lexorder.Membership`, re-exported
 here.
@@ -212,16 +213,11 @@ def membership_grid(region: Region, zr: np.ndarray, zi: np.ndarray) -> np.ndarra
     """Vectorized :func:`contains` over flat coordinate arrays.
 
     Returns uint8 codes (see :class:`Membership`), bit-identical to the
-    scalar path.
+    scalar path: those of the one-region solution (``solver.solution_grid``).
     """
-    import numpy as np
+    from .solver import SolutionSet, solution_grid
 
-    from . import _grid
-
-    zr = np.ascontiguousarray(zr, dtype=np.float64)
-    zi = np.ascontiguousarray(zi, dtype=np.float64)
-    value, pole = _value_lanes(region, zr, zi)
-    return _grid.codes(_grid.at_least_zero((value,)), pole)
+    return solution_grid(SolutionSet.single(region), zr, zi)
 
 
 def apply_transform(region: Region, transform: Transform) -> Region:

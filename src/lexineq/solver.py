@@ -13,8 +13,9 @@ the two-valued square-root preimage.  No assumption is made about the
 sign or realness of any intermediate quantity: membership is always the
 pullback walk, which is correct for all parameter signs.  A
 :class:`System`'s solution is the intersection of its members'.  On the
-grid its regions' values and its pole mask are reduced by ``_grid`` as
-``oracle.problem_grid`` reduces a problem's.
+grid each region is a constraint, decided by ``_grid.decide`` as
+``oracle`` decides a problem's: real parts first, and the full values and
+the pole mask only on the lanes those leave open.
 
 The problem classes (:class:`Linear`, :class:`System`,
 :class:`Fractional`, :class:`Quadratic` and the union
@@ -259,10 +260,7 @@ def solution_contains(solution: SolutionSet, z: complex) -> Membership:
 
 def solution_grid(solution: SolutionSet, zr: np.ndarray, zi: np.ndarray) -> np.ndarray:
     """Vectorized :func:`solution_contains` over flat coordinate arrays."""
-    from . import _grid
-
-    values, pole = _solution_lanes(solution, zr, zi)
-    return _grid.codes(_grid.at_least_zero(values), pole)
+    return _decide_lanes(solution, zr, zi)[0]
 
 
 def solution_grid_margin(solution: SolutionSet, zr: np.ndarray,
@@ -274,32 +272,45 @@ def solution_grid_margin(solution: SolutionSet, zr: np.ndarray,
     intersection); constant solutions and pole points report an
     infinite margin.
     """
-    from . import _grid
-
-    values, pole = _solution_lanes(solution, zr, zi)
-    return _grid.codes(_grid.at_least_zero(values), pole), _grid.margins(values, pole)
+    return _decide_lanes(solution, zr, zi, margins=True)
 
 
-def _solution_lanes(solution: SolutionSet, zr, zi):
-    """What both grid functions reduce, as ``oracle.problem_grid`` does: ``(values, pole)``.
-
-    ``values`` holds each region's value pair (``region._value_lanes``);
-    a constant solution's one pair is (inf, inf) if ALL, else (-inf, -inf):
-    it holds, or fails, everywhere with an infinite margin.  ``pole`` is
-    the union of the regions' pole masks and the excluded points (None
-    when no lane can be a pole).
-    """
+def _decide_lanes(solution: SolutionSet, zr, zi, out: np.ndarray | None = None,
+                  margins: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """``_grid.decide`` on the lanes zr + zi*i, as ``oracle`` decides a
+    problem's: the regions' real parts decide, and their full values and
+    the pole mask are computed only on the lanes those leave open."""
     import numpy as np
+
+    from . import _grid
 
     zr = np.ascontiguousarray(zr, dtype=np.float64)
     zi = np.ascontiguousarray(zi, dtype=np.float64)
+    return _grid.decide([vr for vr, _ in _solution_lanes(solution, zr, zi)[0]],
+                        lambda zr, zi: _solution_lanes(solution, zr, zi), zr, zi, out, margins)
+
+
+def _solution_lanes(solution: SolutionSet, zr, zi):
+    """The regions as constraints on float64 lanes: ``(values, pole)``.
+
+    ``values`` holds each region's value pair (``region._value_lanes``);
+    a constant solution's one pair is (inf, inf) if ALL, else (-inf, -inf):
+    it holds, or fails, everywhere with an infinite margin.  The first
+    real part is nan at each excluded point, so that the real parts leave
+    it open.  ``pole`` is the union of the regions' pole masks and the
+    excluded points (None when no lane can be a pole).
+    """
+    import functools
+
+    import numpy as np
+
     lanes = [_value_lanes(region, zr, zi) for region in solution.regions]
-    pole = None
-    for mask in [m for _, m in lanes] + [(zr == p.real) & (zi == p.imag)
-                                         for p in solution.excluded_points]:
-        if mask is not None:
-            pole = mask if pole is None else pole | mask
-    if not lanes:
+    values = [value for value, _ in lanes]
+    masks = [mask for _, mask in lanes if mask is not None]
+    if not values:
         constant = np.full(zr.shape, np.inf if solution.kind is SolutionKind.ALL else -np.inf)
-        return [(constant, constant)], pole
-    return [value for value, _ in lanes], pole
+        values = [(constant, constant)]
+    for p in solution.excluded_points:
+        masks.append((zr == p.real) & (zi == p.imag))
+        values[0][0][masks[-1]] = np.nan
+    return values, functools.reduce(np.logical_or, masks) if masks else None

@@ -2,7 +2,7 @@
 
 ``_grid`` runs the plain-float helpers of ``_kernels`` themselves on
 arrays, adding only the lane-wise choice of Smith's branch, pole masks
-and the two reductions, to codes and to margins.  So every grid result
+and one decision, real parts first, to codes and margins.  So every grid result
 (membership codes and margins) must equal the scalar path applied point
 by point, for every problem class; these tests check that the array
 parts (branch selection, pole masks, intersections and excluded points)
@@ -35,6 +35,7 @@ from lexineq.region import (
     Sqrt,
     Translate,
     _invert_point,
+    _value_lanes,
     contains,
     membership_grid,
     pull_back,
@@ -235,8 +236,8 @@ POLE_GRID = GridSpec(-2, 2, -2, 2, 41, 17)
 
 
 class TestCodesOnlyPaths:
-    """Rasters reduce the values to codes only; the margin APIs also
-    reduce them to margins.  Both must give the same codes."""
+    """Rasters get codes only; the margin APIs also get margins from the
+    same decision.  Both must give the same codes."""
 
     @pytest.mark.parametrize("name", PROBLEMS)
     def test_sample_raster_matches_problem_grid(self, name):
@@ -307,10 +308,10 @@ TIED = {
 
 
 class TestUndecidedLanes:
-    """Rasters and ``problem_grid`` decide each lane on the real parts of
-    the values, and compute the imaginary parts and the pole mask only
-    where a real part is 0 or nan.  Those lanes must get the codes and
-    margins of the scalar references."""
+    """Rasters, ``problem_grid`` and the solution side decide each lane on
+    the real parts of the values, and compute the imaginary parts and the
+    pole mask only where a real part is 0 or nan.  Those lanes must get
+    the codes and margins of the scalar references."""
 
     @pytest.mark.parametrize("name", TIED)
     def test_ties_match_problem_grid(self, name):
@@ -329,6 +330,21 @@ class TestUndecidedLanes:
         if isinstance(problem, System):
             (_, _), (vr2, _) = values
             assert np.any(tied[0] & (vr2 > 0.0)) and np.any(tied[0] & (vr2 < 0.0))
+
+    @pytest.mark.parametrize("name", TIED)
+    def test_ties_match_solution_contains(self, name):
+        solution = solve(TIED[name])
+        zr, zi = LATTICE.points()
+        codes, margins = solution_grid_margin(solution, zr, zi)
+        points = _points(zr, zi)
+        assert codes.tolist() == [int(solution_contains(solution, z)) for z in points]
+        expected = np.array([_solution_margin(solution, z) for z in points])
+        assert margins.tobytes() == expected.tobytes()
+        # a region's real part is exactly 0 on some lanes, as Re z - 0.5 is for
+        # Region(0.5+0.5j), the solution of linear-column; only nan at the
+        # pole leaves a lane of fractional-pole-on-lattice to the gather
+        reals = [_value_lanes(region, zr, zi)[0][0] for region in solution.regions]
+        assert any(np.any(vr == 0.0) for vr in reals) or np.count_nonzero(np.isnan(reals[0])) == 1
 
     @pytest.mark.parametrize("b", [1j, -1j])
     def test_real_part_zero_everywhere(self, b):

@@ -20,7 +20,7 @@ from lexineq.oracle import (
     sample_raster,
     verify,
 )
-from lexineq.region import Membership, Region, Sqrt, membership_grid
+from lexineq.region import Membership, Region, Rotate, Sqrt, membership_grid
 from lexineq.solver import (
     Fractional,
     Linear,
@@ -221,8 +221,9 @@ class TestTiling:
         Linear(1 + 0j, 0.3 + 0j),  # one column of blocks straddles Re z = 0.3
         Linear(1j, 0j),            # every block straddles Im z = 0: all lanes evaluated
         Linear(0j, 1j),            # real part 0 on every lane: all lanes take the tie path
-        Region(-1 + 0j, (Sqrt(),)),  # membership_grid on every row batch
-    ], ids=["boundary", "every-block-open", "all-tied", "region"])
+        Region(-1 + 0j, (Sqrt(),)),  # a one-region solution on every row batch
+        Region(0.3 + 0j, (Rotate(1.0),)),
+    ], ids=["boundary", "every-block-open", "all-tied", "region", "region-rotated"])
     def test_memory_is_bounded_by_a_tile(self, problem):
         # 2^21 x 4 cells: the raster's own bytes (8 MiB) plus a few tiles
         # of temporaries, never an array per cell or a whole row's axis
@@ -243,6 +244,26 @@ class TestTiling:
             direct = (membership_grid(problem, zr, zi) if isinstance(problem, Region)
                       else problem_grid(problem, zr, zi)[0])
             assert bitmap.cells[start:start + TILE].tobytes() == direct.tobytes()
+
+    @pytest.mark.parametrize("problem", [
+        PROBLEMS[0], FRACTIONAL_POLE, PROBLEMS[3],
+        Linear(0j, 1j),  # real part 0 on every lane, and an empty solution
+        System((Linear(1 + 0j, 0.3 + 0j), FRACTIONAL_POLE)),  # two regions, one excluded point
+    ], ids=["linear", "fractional-pole", "quadratic", "all-tied", "system-fractional"])
+    def test_verify_memory_is_bounded_by_tiles(self, problem):
+        # 2^21 x 4 probes: both sides' temporaries for one tile at a time,
+        # under 21 tiles of float64 (the system peaks at 20.3, the largest),
+        # where one array over the whole grid would be 512
+        grid = GridSpec(-2, 2, -2, 2, 1 << 21, 4)
+        solution = solve(problem)
+        tracemalloc.start()
+        try:
+            report = verify(problem, solution, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 21 * (TILE * 8)
 
     @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
     def test_region_raster_matches_whole_grid(self, grid):

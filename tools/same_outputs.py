@@ -11,9 +11,11 @@ in ``SEEDS``:
 * ``lexineq solve`` and ``solve --verify`` over the ``frontend`` corpus;
 * ``lexineq raster`` PGM and CSV file bytes at 1001 x 1001, the
   ``oracle.sample_raster`` cells at 1001 x 1001 and 257 x 193, and the
-  codes and margin bytes of ``oracle.problem_grid`` on the default
-  verification grid (no CLI output shows a margin, except through the
-  counts of ``verify``), over the ``raster-write`` corpus;
+  codes and margin bytes of ``oracle.problem_grid`` and of
+  ``solver.solution_grid_margin`` on the default verification grid (no
+  CLI output shows a margin, except through the counts of ``verify``),
+  and the ``sample_raster`` cells of each solution region at 257 x 193,
+  over the ``raster-write`` corpus;
 * every ``cli-cold`` call (``solve``, ``solve --verify``, ``check``,
   ``laws`` and refused inputs).
 
@@ -71,7 +73,7 @@ def _worker() -> None:
     sys.path.insert(0, str(PERFBENCH))
     import lexineq
     import workloads
-    from lexineq import cli, normalize, oracle, parser
+    from lexineq import cli, normalize, oracle, parser, solver
 
     if not Path(lexineq.__file__).resolve().is_relative_to(Path(src).resolve()):
         sys.exit(f"same_outputs: imported lexineq from {lexineq.__file__}, not from {src}")
@@ -100,8 +102,16 @@ def _worker() -> None:
                         grid = oracle.GridSpec(*workloads.inputs.WINDOW, nx, ny)
                         emit(f"sample_raster {nx}x{ny}", i, prob.text,
                              oracle.sample_raster(problem, grid).cells.tobytes())
-                    codes, margins = oracle.problem_grid(problem, *oracle.default_grid().points())
+                    points = oracle.default_grid().points()
+                    codes, margins = oracle.problem_grid(problem, *points)
                     emit("problem_grid", i, prob.text, codes.tobytes(), margins.tobytes())
+                    solution = solver.solve(problem)
+                    codes, margins = solver.solution_grid_margin(solution, *points)
+                    emit("solution_grid_margin", i, prob.text, codes.tobytes(), margins.tobytes())
+                    grid = oracle.GridSpec(*workloads.inputs.WINDOW, *SAMPLE_SHAPES[1])
+                    for k, region in enumerate(solution.regions):
+                        emit(f"sample_raster region {k}", i, prob.text,
+                             oracle.sample_raster(region, grid).cells.tobytes())
             finally:
                 raster.close()
             for i, (slot, _, argv) in enumerate(workloads.CliCold(seed, tmp, src).calls):
