@@ -1,13 +1,14 @@
-"""Grid evaluation: ``_kernels``' own arithmetic run on flat float64 arrays.
+"""Grid evaluation: ``_kernels``' own arithmetic run on float64 arrays.
 
 The helpers in ``_kernels`` that do only ``+ - * /`` run unchanged on
 arrays, so this module adds only what arrays need: Smith's branch chosen
 lane by lane with ``np.where`` (:func:`cdiv`, and :func:`cdiv_real` for
 the real part alone), pole lanes kept in a mask, and one decision of the
-dictionary order on computed values, :func:`decide`.  Problems
-(``oracle``), regions and solutions (``solver``) all reach it alike: one
-value per constraint, a problem's left-hand sides or regions' pulled-back
-probes minus their anchors, is >= 0 on a lane that is in.  The real parts
+dictionary order on computed values, :func:`decide`, on lanes given flat
+or as rows and columns that broadcast to them.  Problems (``oracle``),
+regions and solutions (``solver``) all reach it alike: one value per
+constraint, a problem's left-hand sides or regions' pulled-back probes
+minus their anchors, is >= 0 on a lane that is in.  The real parts
 decide every lane but those where one is 0 or nan, and only there are the
 full values and the pole mask computed; codes come for every lane, tie
 margins only for the callers that read them.  Results are bit-identical
@@ -39,22 +40,13 @@ def cdiv(ar, ai, br, bi):
 
 
 def cdiv_real(ar, ai, br, bi):
-    """Elementwise Re(a / b): one Smith branch per lane, 2 divisions.
-
-    A lane that takes the tall branch in :func:`cdiv` (not |br| >= |bi|)
-    swaps each operand's components and takes the wide branch's real
-    part.  That is exact, not just close: the tall branch computes
-    t = br/bi and (ar*t + ai) / (br*t + bi), and the wide branch on
-    swapped operands computes t = br/bi and (ai + ar*t) / (bi + br*t).
-    IEEE addition is commutative, bit for bit, signed zeros and
-    infinities included, so both round to the same float: the result is
-    the real part of :func:`cdiv` on every lane where that is not nan,
-    and nan where it is.  Zero-b lanes come out as nan.
-    """
-    wide = np.abs(br) >= np.abs(bi)
+    """Elementwise Re(a / b): both Smith branches' real parts
+    (:func:`_kernels.cdiv_wide_real`), one selected per lane as in
+    :func:`cdiv`, whose real part it is wherever that is not nan.
+    Zero-b lanes come out as nan."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _kernels.cdiv_wide_real(np.where(wide, ar, ai), np.where(wide, ai, ar),
-                                       np.where(wide, br, bi), np.where(wide, bi, br))
+        return np.where(np.abs(br) >= np.abs(bi), _kernels.cdiv_wide_real(ar, ai, br, bi),
+                        _kernels.cdiv_wide_real(ai, ar, bi, br))
 
 
 @record(eq=False)
@@ -98,9 +90,9 @@ class Box:
         return Box(np.where(valid, q.lo, np.nan), np.where(valid, q.hi, np.nan))
 
     def __abs__(self):
-        least = np.minimum(abs(self.lo), abs(self.hi))
+        lo, hi = abs(self.lo), abs(self.hi)
         holds_0 = (self.lo <= 0.0) & (self.hi >= 0.0)
-        return Box(np.where(holds_0, 0.0, least), np.maximum(abs(self.lo), abs(self.hi)))
+        return Box(np.where(holds_0, 0.0, np.minimum(lo, hi)), np.maximum(lo, hi))
 
 
 def _ends(v):  # (lo, hi) of a Box, (v, v) of a float
@@ -117,7 +109,8 @@ def _corners(op, a, b):
 
 def box_cdiv_real(ar, ai, br, bi):
     """The Box of :func:`cdiv_real` over Boxes of its operands: the union
-    of its branches, each where some lane of the block may take it."""
+    of its branches' (:func:`_kernels.cdiv_wide_real`), each where some
+    lane of the block may take it."""
     mr, mi = abs(br), abs(bi)
     wide = _kernels.cdiv_wide_real(ar, ai, br, bi)
     tall = _kernels.cdiv_wide_real(ai, ar, bi, br)
@@ -153,12 +146,12 @@ def decide(reals, values, zr, zi, out=None, margins=False):
     pole; passed straight into the call, they are freed before the open
     lanes are evaluated.  They decide every lane where none is 0 or nan
     (:func:`decide_real`), and there each is finite and nonzero, so the
-    margin is the least |Re|.  ``values(zr, zi)`` gives each
-    constraint's ``(re, im)`` value and the pole mask (None when no lane
-    can be a pole) on the lanes left open only, gathered, or on the
-    whole batch when every lane is open; a pole lane's code is POLE and
-    its margin inf.  The codes go to ``out`` (as many cells, of any
-    shape) when given, else to a new array.
+    margin is the least |Re|.  ``zr`` and ``zi`` broadcast to the lanes;
+    ``values(zr, zi)`` gives each constraint's ``(re, im)`` value and the
+    pole mask (None when no lane can be a pole) on the open lanes only,
+    gathered flat, or on all lanes when all are open; a pole lane's code
+    is POLE and its margin inf.  The codes go to ``out`` (as many cells,
+    of any shape, row-major) when given, else to a new array.
     """
     inside, undecided = decide_real(reals)
     if out is None:
@@ -169,9 +162,11 @@ def decide(reals, values, zr, zi, out=None, margins=False):
     del reals, inside
     idx = np.flatnonzero(undecided)
     if idx.size:
-        if idx.size == zr.shape[0]:  # as in `0*Z >= 1i`: every lane, with no gather
+        if idx.size == undecided.size:  # as in `0*Z >= 1i`: every lane, with no gather
             idx = slice(None)
-        lanes, pole = values(zr[idx], zi[idx])
+        else:  # gathered from a view of flat lanes, from a copy of broadcast ones
+            zr, zi = (np.broadcast_to(z, undecided.shape).reshape(-1)[idx] for z in (zr, zi))
+        lanes, pole = values(zr, zi)
         inside = functools.reduce(np.logical_and, (_kernels.at_least(vr, vi, 0.0, 0.0)
                                                    for vr, vi in lanes))
         codes = np.multiply(inside.view(np.uint8), IN)
@@ -183,5 +178,5 @@ def decide(reals, values, zr, zi, out=None, margins=False):
                                                 for vr, vi in lanes))
             if pole is not None:
                 tie[pole] = np.inf
-            margin[idx] = tie
+            margin.flat[idx] = tie
     return out, margin

@@ -9,15 +9,15 @@ calls them.  A raster decides most lanes on the real part alone:
 ``linear_value`` and ``quadratic_value`` are built from ``linear_real``
 and ``quadratic_real``, and ``fractional_real`` shares
 ``fraction_terms`` with ``fractional_value`` and divides with the real
-part of one Smith branch only (``cdiv_wide_real``).  The scalar API calls
-them on floats; ``_grid`` calls the same functions on arrays and
-supplies only what arrays need: the Smith branch chosen with
-``np.where`` and pole lanes kept in a mask.  One expression tree per
-operation makes the two paths bit-identical, which
-``tests/test_grid_equivalence.py`` asserts.  The real parts' trees also
-run on ``_grid.Box`` ranges, to bound a raster's blocks, so a change to
-a tree changes its bounds with it.  This module and the scalar
-API run without numpy.
+parts of Smith's branches only (``cdiv_wide_real``, which gives the tall
+branch's on swapped components).  The scalar API calls them on floats;
+``_grid`` calls the same functions on arrays and supplies only what
+arrays need: the Smith branch chosen with ``np.where`` and pole lanes
+kept in a mask.  One expression tree per operation makes the two paths
+bit-identical, which ``tests/test_grid_equivalence.py`` asserts.  The
+real parts' trees also run on ``_grid.Box`` ranges, to bound a raster's
+blocks, so a change to a tree changes its bounds with it.  This module
+and the scalar API run without numpy.
 """
 
 from __future__ import annotations
@@ -41,7 +41,12 @@ def cdiv_wide(ar, ai, br, bi):
 
 
 def cdiv_wide_real(ar, ai, br, bi):
-    """Re of :func:`cdiv_wide`, bit for bit, with 2 divisions instead of 3."""
+    """Re of :func:`cdiv_wide`, bit for bit, with 2 divisions instead of 3.
+
+    On swapped components, ``cdiv_wide_real(ai, ar, bi, br)``, it is Re of
+    :func:`cdiv_tall`, bit for bit: both compute t = br/bi and the quotient
+    (ar*t + ai) / (br*t + bi), up to the order of each sum, which IEEE
+    addition ignores, signed zeros and infinities included."""
     t = bi / br
     return (ar + ai * t) / (br + bi * t)
 

@@ -368,11 +368,16 @@ class TestUndecidedLanes:
 
     def test_real_only_division_is_exact(self):
         rng = np.random.default_rng(50)
-        special = [0.0, -0.0, 1.0, -1.0, 2.0, 1e-310, 1e308, np.inf, -np.inf]
+        special = [0.0, -0.0, 1.0, -1.0, 2.0, 5e-324, 1e-310, 1e-300, 1e308, -1e308,
+                   np.inf, -np.inf, np.nan]
         parts = [np.concatenate([rng.standard_normal(400), rng.choice(special, 400)])
                  for _ in range(4)]
         for p in parts:
             rng.shuffle(p)
+        # every lane of signed zeros and ones: |br| == |bi| on many, where the
+        # branch that cdiv does not take may give a zero of the other sign
+        units = np.meshgrid(*[[0.0, -0.0, 1.0, -1.0]] * 4)
+        parts = [np.concatenate([p, u.ravel()]) for p, u in zip(parts, units)]
         with np.errstate(all="ignore"):
             expected, _ = _grid.cdiv(*parts)
             got = _grid.cdiv_real(*parts)
@@ -380,6 +385,41 @@ class TestUndecidedLanes:
         nan = np.isnan(expected)
         assert np.array_equal(np.isnan(got), nan)
         assert got[~nan].tobytes() == expected[~nan].tobytes()
+
+
+class TestBroadcastLanes:
+    """A raster hands each batch of open blocks to ``_decide_lanes`` as the
+    blocks' columns and rows, which broadcast to their lanes; codes and
+    margins must be those of the same lanes passed flat."""
+
+    @pytest.mark.parametrize("problem", [
+        TIED["fractional-pole-on-lattice"],  # the pole and a few ties are gathered
+        Linear(0j, 1j),                      # Re v = 0 on every lane: none is gathered
+        System((TIED["linear-column"], TIED["fractional-pole-on-lattice"],
+                TIED["quadratic-axes"])),
+    ], ids=["fractional-pole", "all-tied", "mixed-system"])
+    def test_block_lanes_match_flat_lanes(self, problem):
+        # every block of LATTICE, cut as a raster cuts a piece: the last row
+        # and column of blocks repeat the piece's last row and column
+        b = oracle._BLOCK
+        starts = np.arange(0, LATTICE.nx, b)
+        r = np.minimum(np.repeat(starts, starts.shape[0])[:, None] + np.arange(b), LATTICE.ny - 1)
+        c = np.minimum(np.tile(starts, starts.shape[0])[:, None] + np.arange(b), LATTICE.nx - 1)
+        zr, zi = LATTICE.re_axis()[c][:, None, :], LATTICE.im_axis()[r][:, :, None]
+        flat = [z.ravel() for z in np.broadcast_arrays(zr, zi)]
+        for margins in (False, True):
+            codes, margin = oracle._decide_lanes(problem, zr, zi, margins=margins)
+            expected, expected_margin = oracle._decide_lanes(problem, *flat, margins=margins)
+            assert codes.shape == (r.shape[0], b, b)
+            assert codes.tobytes() == expected.tobytes()
+            if margins:
+                assert margin.tobytes() == expected_margin.tobytes()
+        _, undecided = _grid.decide_real(oracle._constraint_reals(problem, *flat, _grid.cdiv_real))
+        if isinstance(problem, Linear):
+            assert undecided.all()
+        else:
+            assert 0 < np.count_nonzero(undecided) < undecided.size
+            assert Membership.POLE in codes
 
 
 def _block_ranges(grid):

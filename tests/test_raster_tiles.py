@@ -20,7 +20,7 @@ from lexineq.oracle import (
     sample_raster,
     verify,
 )
-from lexineq.region import Membership, Region, Rotate, Sqrt, membership_grid
+from lexineq.region import Invert, Membership, Region, Rotate, Scale, Sqrt, membership_grid
 from lexineq.solver import (
     Fractional,
     Linear,
@@ -53,7 +53,10 @@ def reference_csv(bitmap: Bitmap) -> str:
 
 
 def reference_raster(source, grid: GridSpec) -> np.ndarray:
-    zr, zi = grid.points()
+    return reference_lanes(source, *grid.points())
+
+
+def reference_lanes(source, zr, zi) -> np.ndarray:
     if isinstance(source, Region):
         return membership_grid(source, zr, zi)
     return problem_grid(source, zr, zi)[0]
@@ -83,6 +86,8 @@ def reference_verify(problem, solution, grid: GridSpec, eps=oracle.DEFAULT_EPS):
 # 1/(Z + 0.5 - 0.25i) >= 1: the pole -0.5 + 0.25i lies on the [-2, 2]^2 grids
 # below (steps of 0.25 and 0.125 through exact dyadic axis values).
 FRACTIONAL_POLE = Fractional(0j, 1 + 0j, 0.5 - 0.25j, 1 + 0j)
+# ((1+i)Z + 0.5)/(Z - 0.3 + 0.2i) >= 0.1
+FRACTION = Fractional(1 + 1j, 0.5 + 0j, -0.3 + 0.2j, 0.1 + 0j)
 
 PROBLEMS = [
     Linear(1 - 0.5j, 0.25 + 0j),
@@ -244,6 +249,35 @@ class TestTiling:
             direct = (membership_grid(problem, zr, zi) if isinstance(problem, Region)
                       else problem_grid(problem, zr, zi)[0])
             assert bitmap.cells[start:start + TILE].tobytes() == direct.tobytes()
+
+    @pytest.mark.parametrize("source", [
+        Linear(1 + 0j, 0.3 + 0j),
+        FRACTION,
+        Fractional(1 + 0j, 0j, 0j, 1 + 0j),  # Z/Z >= 1: Re v = 0 on every lane
+        Quadratic(1 + 2j, 0.5j, 0.3 + 0j),
+        System((Linear(1 + 0j, 0.3 + 0j), FRACTION)),
+        Region(0.3 + 0j, (Invert(),)),
+        Region(0.5 + 0.25j, (Invert(), Scale(2.0))),
+    ], ids=["linear", "fractional", "fractional-degenerate", "quadratic", "system-fractional",
+            "region-inverted", "region-inverted-scaled"])
+    def test_memory_of_every_raster_class_is_bounded_by_tiles(self, source):
+        # 2^21 x 4 cells, as above: the raster's own bytes plus, for every
+        # class, under 15 tiles of float64 temporaries (the degenerate
+        # fraction peaks at 14.3, the largest), where one array over the
+        # whole grid would be 512
+        grid = GridSpec(-2, 2, -2, 2, 1 << 21, 4)
+        tracemalloc.start()
+        try:
+            cells = sample_raster(source, grid).cells
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < cells.nbytes + 15 * (TILE * 8)
+        for row, c0 in ((0, 0), (grid.ny - 1, grid.nx - TILE)):
+            zr = oracle._axis(grid.re_min, grid.re_max, grid.nx, c0, c0 + TILE)
+            zi = np.full(TILE, grid.im_axis()[row])
+            start = row * grid.nx + c0
+            assert cells[start:start + TILE].tobytes() == reference_lanes(source, zr, zi).tobytes()
 
     @pytest.mark.parametrize("problem", [
         PROBLEMS[0], FRACTIONAL_POLE, PROBLEMS[3],
