@@ -9,11 +9,13 @@ or as rows and columns that broadcast to them.  Problems (``oracle``),
 regions and solutions (``solver``) all reach it alike: one value per
 constraint, a problem's left-hand sides or regions' pulled-back probes
 minus their anchors, is >= 0 on a lane that is in.  The real parts
-decide every lane but those where one is 0 or nan, and only there are the
-full values and the pole mask computed; codes come for every lane, tie
-margins only for the callers that read them.  Results are bit-identical
-to the scalar path.  Complex dtype is deliberately avoided: numpy's own
-complex division rounds differently from the shared Smith helper.
+decide first, by one rule, :func:`decide_real`, that runs unchanged on
+lanes and on :class:`Box` bounds of a raster's blocks; only on the lanes
+it leaves open are the full values and the pole mask computed.  Codes
+come for every lane, tie margins only for the callers that read them.
+Results are bit-identical to the scalar path.  Complex dtype is
+deliberately avoided: numpy's own complex division rounds differently
+from the shared Smith helper.
 """
 
 from __future__ import annotations
@@ -60,10 +62,21 @@ class Box:
     one Box is a square, bounded from the range of ``|w|``.  A nan lane
     (inf - inf, 0 * inf, inf / inf) has an operand at an infinity, so
     its bounds come out infinite or nan: only finite bounds bound it.
+
+    So a Box compares with a float as "surely", its bounds finite:
+    ``box > 0.0`` where ``lo > 0``, ``box < 0.0`` where ``hi < 0``.  On a
+    block that holds a fraction's pole, whose lane's real part is nan,
+    the divisor's range holds 0 and the bounds are nan.
     """
 
     lo: np.ndarray
     hi: np.ndarray
+
+    def __gt__(self, other):
+        return (self.lo > other) & (self.hi < np.inf)
+
+    def __lt__(self, other):
+        return (self.hi < other) & (self.lo > -np.inf)
 
     def __add__(self, other):
         lo, hi = _ends(other)
@@ -121,19 +134,23 @@ def box_cdiv_real(ar, ai, br, bi):
 
 
 def decide_real(reals):
-    """The decision of the dictionary order where the real parts settle it.
+    """The decision of the dictionary order where the real parts settle
+    it, on float64 lanes and on :class:`Box` bounds of blocks alike.
 
-    Returns ``(inside, undecided)``: ``inside`` marks the lanes where
-    every real part is > 0, and ``undecided`` those where some real part
-    is 0 or nan, so that only the imaginary parts or a pole mask can
-    decide.  Every other lane has a real part < 0 and is out.
+    Returns ``(inside, undecided)``: ``inside`` where every real part is
+    > 0, else out where some is < 0 and none is nan (a pole's is, as is
+    the ``lo`` of a Box over one), else ``undecided``: only the imaginary
+    parts or a pole mask can decide.  A Box compares as "surely", so a
+    block is decided only where each of its lanes is, the same way.
     """
-    inside = undecided = None
-    for vr in reals:
-        positive = vr > 0.0
-        tied = ~(positive | (vr < 0.0))
-        inside = positive if inside is None else np.logical_and(inside, positive, out=inside)
-        undecided = tied if undecided is None else np.logical_or(undecided, tied, out=undecided)
+    inside, outside = reals[0] > 0.0, reals[0] < 0.0
+    for vr in reals[1:]:
+        inside &= vr > 0.0
+        outside |= vr < 0.0
+    undecided = np.equal(inside, outside, out=outside)  # they never both hold
+    if len(reals) > 1:  # a lone nan is neither > 0 nor < 0 already
+        for vr in reals:
+            undecided |= np.isnan(_ends(vr)[0])
     return inside, undecided
 
 
@@ -144,14 +161,14 @@ def decide(reals, values, zr, zi, out=None, margins=False):
 
     ``reals`` holds each constraint's real part on every lane, nan at a
     pole; passed straight into the call, they are freed before the open
-    lanes are evaluated.  They decide every lane where none is 0 or nan
-    (:func:`decide_real`), and there each is finite and nonzero, so the
-    margin is the least |Re|.  ``zr`` and ``zi`` broadcast to the lanes;
-    ``values(zr, zi)`` gives each constraint's ``(re, im)`` value and the
-    pole mask (None when no lane can be a pole) on the open lanes only,
-    gathered flat, or on all lanes when all are open; a pole lane's code
-    is POLE and its margin inf.  The codes go to ``out`` (as many cells,
-    of any shape, row-major) when given, else to a new array.
+    lanes are evaluated.  They decide the lanes :func:`decide_real` settles,
+    with ``margins`` only those where none is 0: there each is finite and
+    nonzero, so the margin is the least |Re|.  ``zr`` and ``zi`` broadcast
+    to the lanes; ``values(zr, zi)`` gives each constraint's ``(re, im)``
+    value and the pole mask (None when no lane can be a pole) on the open
+    lanes only, gathered flat, or on all lanes when all are open; a pole
+    lane's code is POLE and its margin inf.  The codes go to ``out`` (as
+    many cells, of any shape, row-major) when given, else to a new array.
     """
     inside, undecided = decide_real(reals)
     if out is None:
@@ -159,6 +176,8 @@ def decide(reals, values, zr, zi, out=None, margins=False):
     # OUT is 0, so a True lane times IN is IN and a False lane OUT
     np.multiply(inside.reshape(out.shape).view(np.uint8), IN, out=out)
     margin = functools.reduce(np.minimum, map(np.abs, reals)) if margins else None
+    if margins:  # a real part of 0 beside one < 0 settles the code, not the margin
+        undecided |= margin == 0.0
     del reals, inside
     idx = np.flatnonzero(undecided)
     if idx.size:

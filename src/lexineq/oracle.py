@@ -17,14 +17,16 @@ and of a region or solution (through ``solver``) alike, and so both sides
 of :func:`verify`, decides on the same levels:
 
 1. A raster of an inequality first settles whole blocks of cells from
-   bounds of the computed real parts (:func:`_block_codes`): their own
+   bounds of the computed real parts (:func:`_fill_blocks`): their own
    trees, run by :func:`_constraint_reals` on ``_grid.Box`` ranges of
-   the block's coordinates, give the codes its cells would get lane by
-   lane, bit for bit.  A nan or inf bound keeps a block open.
+   the block's coordinates, and ``_grid.decide_real`` give the codes its
+   cells would get lane by lane, bit for bit.  A nan or inf bound keeps
+   a block open.
 2. ``_grid.decide`` decides the other lanes, an open block's broadcast
-   from its columns and rows, on the real parts (:func:`_decide_lanes`).
+   from its columns and rows, by the same rule (:func:`_decide_lanes`).
 3. It computes the imaginary parts and the pole mask only on the few
-   lanes where a real part is 0 or nan (every pole is one).
+   lanes it leaves open, where a real part is nan (every pole is one),
+   or 0 and none is < 0 (or 0 at all, for tie margins).
 
 The bounds are those of the computed real part, not of the exact one.
 Once ties are decided exactly (ROADMAP item 2), a block may be settled
@@ -98,13 +100,13 @@ MAX_CELLS = 1 << 24
 _TILE_POINTS = 16384
 
 # Side, in grid points, of the square blocks that a raster of an
-# inequality settles whole from bounds (:func:`_block_codes`)
-# before it evaluates any lane; the code of a block they leave open.
+# inequality settles whole from bounds (:func:`_fill_blocks`) before it
+# evaluates any lane.
 # Measured on the 1001 x 1001 rasters of the benchmark corpus: 12 was no
 # faster, 8 was slower (four times the blocks to bound), and so was 32
 # (twice the lanes gathered around the boundary).
 _BLOCK = 16
-_UNDECIDED = 255
+_MISMATCH_CAP = 100  # mismatches a VerificationReport lists; its count is exact
 
 
 @record
@@ -298,7 +300,8 @@ class VerificationReport:
     total: int
     skipped_boundary: int
     skipped_pole: int
-    mismatches: tuple[Mismatch, ...]
+    mismatch_count: int
+    mismatches: tuple[Mismatch, ...]  # the first ``_MISMATCH_CAP``, in grid order
     passed: bool
 
     @property
@@ -439,9 +442,10 @@ def verify(problem: InequalityProblem, solution: SolutionSet,
     compute the same mathematical quantity along different float paths,
     and on an exact tie of one path the other may legitimately carry a
     last-ulp residue of either sign.  Every other probe must match
-    exactly; mismatches are reported in grid order.  A sweep that asserted
-    no probe fails too: it would pass whatever the solution.  The grid is
-    swept one tile of :meth:`GridSpec.tiles` at a time.
+    exactly; mismatches are counted, and the first ``_MISMATCH_CAP`` kept
+    in grid order.  A sweep that asserted no probe fails too: it would
+    pass whatever the solution.  The grid is swept one tile of
+    :meth:`GridSpec.tiles` at a time.
     """
     import numpy as np
 
@@ -451,7 +455,7 @@ def verify(problem: InequalityProblem, solution: SolutionSet,
         grid = default_grid()
     if not (eps > 0.0):
         raise ValueError("eps must be positive")
-    skipped_boundary = skipped_pole = 0
+    skipped_boundary = skipped_pole = mismatch_count = 0
     mismatches = []
     for _, zr, zi in grid.tiles():
         direct, margins_direct = problem_grid(problem, zr, zi)
@@ -461,22 +465,24 @@ def verify(problem: InequalityProblem, solution: SolutionSet,
         pole = direct == _kernels.POLE
         boundary = ~pole & (margins < eps)
         active = ~pole & ~boundary
-        bad = (active & (direct != got)) | (pole & (got != _kernels.POLE))
+        bad = np.flatnonzero((active & (direct != got)) | (pole & (got != _kernels.POLE)))
 
         skipped_boundary += int(np.count_nonzero(boundary))
         skipped_pole += int(np.count_nonzero(pole))
+        mismatch_count += bad.shape[0]
         mismatches.extend(
             Mismatch(complex(zr[i], zi[i]), Membership(int(direct[i])), Membership(int(got[i])))
-            for i in np.nonzero(bad)[0]
+            for i in bad[:_MISMATCH_CAP - len(mismatches)]
         )
     total = grid.nx * grid.ny
     return VerificationReport(
         total=total,
         skipped_boundary=skipped_boundary,
         skipped_pole=skipped_pole,
+        mismatch_count=mismatch_count,
         mismatches=tuple(mismatches),
         # some probe asserted
-        passed=not mismatches and skipped_boundary + skipped_pole < total,
+        passed=not mismatch_count and skipped_boundary + skipped_pole < total,
     )
 
 
@@ -486,8 +492,8 @@ def sample_raster(source: Region | InequalityProblem, grid: GridSpec) -> Bitmap:
     Only membership codes are computed, straight into the raster; the
     margins :func:`problem_grid` also reports are not.  The grid is
     walked piece by piece (:func:`_pieces`).  A raster of an inequality
-    first settles whole blocks of a piece from exact bounds of the real
-    parts (:func:`_fill_blocks`); every other piece is filled whole rows
+    first settles whole blocks of a piece from bounds of the computed
+    real parts (:func:`_fill_blocks`); every other piece is filled whole rows
     at a time.  Its lanes are decided as :func:`problem_grid` decides
     them (:func:`_decide_lanes`), and a region's as a one-region
     solution's (``solver._decide_lanes``).
@@ -528,27 +534,34 @@ def _fill_blocks(problem: InequalityProblem, view: np.ndarray, r0: int, c0: int,
     with nothing written, when most of its blocks stay open.
 
     The piece is cut into blocks of ``_BLOCK`` x ``_BLOCK`` points, and
-    :func:`_block_codes` settles most of them whole.  The others go to
-    :func:`_decide_lanes` at most ``_TILE_POINTS`` lanes at a time, as
-    their columns and rows of axis values, which broadcast to their lanes.
+    ``_grid.decide_real`` settles most of them whole on the ``_grid.Box``
+    bounds of their real parts.  The others go to :func:`_decide_lanes`
+    at most ``_TILE_POINTS`` lanes at a time, as their columns and rows
+    of axis values, which broadcast to their lanes.
     """
     import numpy as np
 
+    from . import _grid
+
     b = _BLOCK
     h, w = ys.shape[0], xs.shape[0]
-    codes = _block_codes(problem, _block_range(xs), _block_range(ys[:, None]))
-    undecided = np.flatnonzero(codes == _UNDECIDED)
-    if 2 * undecided.shape[0] > codes.size:
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        inside, undecided = _grid.decide_real(_constraint_reals(
+            problem, _grid.Box(*_block_range(xs)), _grid.Box(*_block_range(ys[:, None])),
+            _grid.box_cdiv_real))
+    undecided = np.flatnonzero(undecided)
+    if 2 * undecided.shape[0] > inside.size:
         # the caller evaluates every lane in place; on the 7 of 300 benchmark
         # rasters that come here, that took 1.36 ms at 201^2 (1.14 ms block by block),
         # 0.38 (0.61) at 101^2, 0.06 (0.29) at 33^2 and 1/7 as long at 2000 x 4
         return False
-    _paint_blocks(view[r0:r0 + h, c0:c0 + w], codes)
+    # OUT is 0; the open blocks' cells are written again below
+    _paint_blocks(view[r0:r0 + h, c0:c0 + w], inside.view(np.uint8) * _kernels.IN)
     cells = view.reshape(-1)
     offsets = np.arange(b)
     blocks_per_batch = _TILE_POINTS // (b * b)
     for k in range(0, undecided.shape[0], blocks_per_batch):
-        bi, bj = np.divmod(undecided[k:k + blocks_per_batch], codes.shape[1])
+        bi, bj = np.divmod(undecided[k:k + blocks_per_batch], inside.shape[1])
         # each block's rows and columns; those past the edge of the piece
         # repeat its last one, so their lanes are evaluated and written
         # twice, with the same code
@@ -584,35 +597,3 @@ def _paint_blocks(target: np.ndarray, codes: np.ndarray) -> None:
         # row i of every row of blocks
         rows = target[i::_BLOCK]
         rows[...] = expanded[:rows.shape[0]]
-
-
-def _block_codes(problem: InequalityProblem, x, y) -> np.ndarray:
-    """IN or OUT for the blocks whose bounds settle every lane, else ``_UNDECIDED``.
-
-    The blocks are the boxes ``x`` times ``y``, ``(lo, hi)`` ranges of
-    arrays that broadcast together.  A block is IN when every constraint's
-    real part has finite bounds ``lo > 0``, and OUT when some constraint's has
-    finite bounds ``hi < 0`` and none's are nan: then every real part is
-    > 0 at every lane, or some constraint's is < 0 at every lane and no
-    lane is a pole (a pole's divisor range holds 0, so its bounds are
-    nan), which is what :func:`_grid.decide_real` and the pole mask find
-    lane by lane.  Any other block, a nan or inf bound included, is undecided.
-    """
-    import numpy as np
-
-    from . import _grid
-
-    inside = outside = held = None
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for real in _constraint_reals(problem, _grid.Box(*x), _grid.Box(*y),
-                                      _grid.box_cdiv_real):
-            positive = (real.lo > 0.0) & (real.hi < np.inf)
-            negative = (real.hi < 0.0) & (real.lo > -np.inf)
-            nan = np.isnan(real.lo)
-            inside = positive if inside is None else inside & positive
-            outside = negative if outside is None else outside | negative
-            held = nan if held is None else held | nan
-    codes = np.full(inside.shape, _UNDECIDED, dtype=np.uint8)
-    codes[inside] = _kernels.IN
-    codes[outside & ~held] = _kernels.OUT
-    return codes

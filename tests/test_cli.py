@@ -155,7 +155,7 @@ class TestSolve:
 
     def test_verification_failure_exit_code(self, capsys, monkeypatch):
         failing = VerificationReport(
-            total=1, skipped_boundary=0, skipped_pole=0,
+            total=1, skipped_boundary=0, skipped_pole=0, mismatch_count=1,
             mismatches=(oracle.Mismatch(0j, Membership.IN, Membership.OUT),),
             passed=False,
         )

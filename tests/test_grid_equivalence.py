@@ -431,9 +431,17 @@ def _block_boxes(grid):
     return [_grid.Box(*r) for r in _block_ranges(grid)]
 
 
+# The code of a block that the bounds leave open
+_UNDECIDED = 255
+
+
 def _block_codes(problem, grid):
-    """The block codes of a grid that :func:`sample_raster` takes in one chunk."""
-    return oracle._block_codes(problem, *_block_ranges(grid))
+    """The block codes of a grid that :func:`sample_raster` takes in one
+    chunk: ``_grid.decide_real`` on the Box bounds of the real parts."""
+    with np.errstate(all="ignore"):
+        inside, undecided = _grid.decide_real(oracle._constraint_reals(
+            problem, *_block_boxes(grid), _grid.box_cdiv_real))
+    return np.where(undecided, _UNDECIDED, np.where(inside, _kernels.IN, _kernels.OUT))
 
 
 def _wide_coefficient(rng):
@@ -536,7 +544,7 @@ class TestBlockDecision:
                 seen.update(np.unique(_block_codes(problem, grid)).tolist())
                 cells = sample_raster(problem, grid).cells
                 assert cells.tobytes() == problem_grid(problem, *grid.points())[0].tobytes()
-        assert seen == {Membership.OUT, Membership.IN, oracle._UNDECIDED}
+        assert seen == {Membership.OUT, Membership.IN, _UNDECIDED}
 
     @pytest.mark.parametrize("problem, code", [
         (Linear(1 + 0j, -10 + 0j), Membership.IN),                  # Re z + 10 > 0
@@ -567,7 +575,7 @@ class TestBlockDecision:
         with np.errstate(all="ignore"):
             real, = oracle._constraint_reals(problem, *_block_boxes(grid), _grid.box_cdiv_real)
             assert np.isnan(real.lo).any() or np.isnan(real.hi).any()
-            assert set(_block_codes(problem, grid).ravel().tolist()) == {oracle._UNDECIDED}
+            assert set(_block_codes(problem, grid).ravel().tolist()) == {_UNDECIDED}
             cells = sample_raster(problem, grid).cells
             codes, _ = problem_grid(problem, *grid.points())
         assert cells.tobytes() == codes.tobytes()
@@ -626,3 +634,58 @@ class TestMixedSystems:
                 codes[lanes].tolist(), problem
         assert kinds == {Linear, Fractional, Quadratic}
         assert poles > 20
+
+
+class TestOneRule:
+    """``_grid.decide_real`` decides blocks by the rule that decides lanes:
+    on the Box ``[v, v]`` of each real part of a lane it decides as on the
+    lane itself."""
+
+    @staticmethod
+    def _assert_boxes_decide_as_lanes(problem, zr, zi):
+        reals = oracle._constraint_reals(problem, zr, zi, _grid.cdiv_real)
+        # a Box bounds finite lanes; a pole's real part is nan, and so are its Box's bounds
+        finite = ~np.isinf(reals).any(axis=0)
+        reals = [v[finite] for v in reals]
+        lanes = _grid.decide_real(reals)
+        boxes = _grid.decide_real([_grid.Box(v, v) for v in reals])
+        for on_lanes, on_boxes in zip(lanes, boxes):
+            assert on_lanes.tobytes() == on_boxes.tobytes(), problem
+        return reals, lanes
+
+    @pytest.mark.parametrize("name", TIED)
+    def test_tied_lanes(self, name):
+        _, (inside, undecided) = self._assert_boxes_decide_as_lanes(TIED[name], *LATTICE.points())
+        assert inside.any() and undecided.any() and not (inside | undecided).all()
+
+    def test_mixed_systems(self):
+        rng = np.random.default_rng(61)
+        zr, zi = oracle.default_grid().points()
+        pole_beside_negative = 0
+        for _ in range(20):
+            reals, _ = self._assert_boxes_decide_as_lanes(_mixed_system(rng), zr, zi)
+            reals = np.array(reals)
+            pole_beside_negative += int(np.count_nonzero(np.isnan(reals).any(axis=0)
+                                                         & (reals < 0.0).any(axis=0)))
+        assert pole_beside_negative > 0
+
+    def test_a_negative_real_part_decides_beside_a_tie(self):
+        # Re z is 0 on a column of LATTICE, where 0*Z - 1 has real part -1:
+        # the code is OUT from the real parts alone, and only the tie
+        # margins need the full values of that column
+        problem = System((Linear(1 + 0j, 0j), Linear(0j, 1 + 0j)))
+        zr, zi = LATTICE.points()
+        handed = []
+
+        def values(zr, zi):
+            handed.append(zr.size)
+            return _full_values(problem, zr, zi)
+
+        for margins, lanes in ((False, []), (True, [LATTICE.ny])):
+            reals = oracle._constraint_reals(problem, zr, zi, _grid.cdiv_real)
+            codes, margin = _grid.decide(reals, values, zr, zi, margins=margins)
+            assert handed == lanes
+            handed.clear()
+            assert not codes.any()  # OUT everywhere
+        assert codes.tobytes() == _assert_matches_scalar(problem, zr, zi).tobytes()
+        assert margin.tobytes() == problem_grid(problem, zr, zi)[1].tobytes()

@@ -25,6 +25,7 @@ from lexineq.solver import (
     Fractional,
     Linear,
     Quadratic,
+    SolutionSet,
     System,
     solution_grid_margin,
     solve,
@@ -69,15 +70,16 @@ def reference_verify(problem, solution, grid: GridSpec, eps=oracle.DEFAULT_EPS):
     margins = np.minimum(margins_direct, margins_solution)
     pole = direct == _kernels.POLE
     boundary = ~pole & (margins < eps)
-    bad = (~pole & ~boundary & (direct != got)) | (pole & (got != _kernels.POLE))
+    bad = np.nonzero((~pole & ~boundary & (direct != got)) | (pole & (got != _kernels.POLE)))[0]
     mismatches = tuple(
         Mismatch(complex(zr[i], zi[i]), Membership(int(direct[i])), Membership(int(got[i])))
-        for i in np.nonzero(bad)[0]
+        for i in bad[:oracle._MISMATCH_CAP]
     )
     return VerificationReport(
         total=int(zr.shape[0]),
         skipped_boundary=int(np.count_nonzero(boundary)),
         skipped_pole=int(np.count_nonzero(pole)),
+        mismatch_count=int(bad.shape[0]),
         mismatches=mismatches,
         passed=not mismatches,
     )
@@ -299,6 +301,24 @@ class TestTiling:
         assert report.passed
         assert peak < 21 * (TILE * 8)
 
+    def test_verify_memory_does_not_grow_with_the_mismatches(self):
+        # 0*Z + 1 >= 0 holds everywhere and the empty set nowhere, so every
+        # probe mismatches; the report lists the first few and counts the
+        # rest, and its sweep peaks within a tile of the same whatever their number
+        problem = Linear(0j, -1 + 0j)
+        peaks = []
+        for n in (201, 601):
+            tracemalloc.start()
+            try:
+                report = verify(problem, SolutionSet.empty(), GridSpec(-5, 5, -5, 5, n, n))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert report.mismatch_count == n * n and not report.passed
+            assert len(report.mismatches) == oracle._MISMATCH_CAP
+            peaks.append(peak)
+        assert peaks[1] < peaks[0] + TILE * 8
+
     @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
     def test_region_raster_matches_whole_grid(self, grid):
         region = Region(-1 + 0j, (Sqrt(),))
@@ -318,7 +338,7 @@ class TestTiling:
         assert report.skipped_pole == 1
 
     @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
-    def test_wrong_solution_reports_every_mismatch_in_grid_order(self, grid):
+    def test_wrong_solution_counts_every_mismatch_and_lists_the_first(self, grid):
         # No axis value of these grids lies within eps of 1/3 or 4/3, so no
         # probe is skipped and every probe with 1/3 < Re z < 4/3 is in
         # directly and out of the wrong set.
@@ -329,10 +349,10 @@ class TestTiling:
         assert not report.passed and report.skipped_boundary == 0
         zr, zi = grid.points()
         strip = (zr > 1 / 3) & (zr < 4 / 3)
-        assert len(report.mismatches) == np.count_nonzero(strip)
+        assert report.mismatch_count == np.count_nonzero(strip) > oracle._MISMATCH_CAP
         assert [m.point for m in report.mismatches] == [
             complex(x, y) for x, y in zip(zr[strip].tolist(), zi[strip].tolist())
-        ]
+        ][:oracle._MISMATCH_CAP]
         assert {(m.expected, m.got) for m in report.mismatches} == {
             (Membership.IN, Membership.OUT)
         }

@@ -122,7 +122,7 @@ class TestConstruction:
 
 class TestFrozen:
     @pytest.mark.parametrize("value", [Region(1j), Invert(), Polar(1.0, 0.0),
-                                       VerificationReport(0, 0, 0, (), True)],
+                                       VerificationReport(0, 0, 0, 0, (), True)],
                              ids=["region", "no-fields", "polar", "report"])
     def test_assignment_and_deletion_raise(self, value):
         with pytest.raises(AttributeError, match="cannot assign to field 'x'"):

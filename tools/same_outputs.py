@@ -17,7 +17,13 @@ in ``SEEDS``:
   and the ``sample_raster`` cells of each solution region at 257 x 193,
   over the ``raster-write`` corpus;
 * every ``cli-cold`` call (``solve``, ``solve --verify``, ``check``,
-  ``laws`` and refused inputs).
+  ``laws`` and refused inputs);
+* ``MIXED_SYSTEMS`` seeded systems of 2-4 members of every class, built
+  through the API (:func:`_mixed_systems`), since no corpus holds one
+  with a fractional or quadratic member: the codes and margins of
+  ``problem_grid`` and ``solution_grid_margin`` on the default grid, the
+  ``sample_raster`` cells at 257 x 193 over its window, and the ``verify``
+  report.
 
 The commands run through ``cli.main`` in the subprocess, one call after
 another; a RuntimeWarning is shown once per call, as a fresh process
@@ -44,6 +50,7 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SEEDS = (0, 7)
 SAMPLE_SHAPES = ((1001, 1001), (257, 193))
+MIXED_SYSTEMS = 100  # per seed
 
 
 def _digest(*parts) -> str:
@@ -65,6 +72,33 @@ def _call(cli, argv: list[str], src: str):
         except SystemExit as exc:  # argparse's usage error
             status = exc.code
     return out.getvalue(), err.getvalue().replace(src, "<src>"), status
+
+
+def _mixed_systems(lexineq, seed: int):
+    """Systems of 2-4 linear, fractional and quadratic members with
+    coefficients in multiples of 1/8.  Half the fractions have their pole
+    at a multiple of 1.25 + 1.25i, which the default grid holds exactly."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+
+    def dyadic():
+        return complex(*(rng.integers(-24, 25, 2) / 8.0))
+
+    for _ in range(MIXED_SYSTEMS):
+        members = []
+        for kind in rng.choice(["linear", "fractional", "quadratic"], int(rng.integers(2, 5))):
+            if kind == "linear":
+                members.append(lexineq.Linear(dyadic(), dyadic()))
+            elif kind == "quadratic":
+                while (a := dyadic()) == 0:
+                    pass
+                members.append(lexineq.Quadratic(a, dyadic(), dyadic()))
+            else:
+                a, b = dyadic(), dyadic()
+                c = complex(*(1.25 * rng.integers(-2, 3, 2))) if rng.integers(2) else dyadic()
+                members.append(lexineq.Fractional(a, b, c, dyadic()))
+        yield lexineq.System(tuple(members))
 
 
 def _worker() -> None:
@@ -116,6 +150,26 @@ def _worker() -> None:
                 raster.close()
             for i, (slot, _, argv) in enumerate(workloads.CliCold(seed, tmp, src).calls):
                 emit(f"cli-cold {slot}", i, " ".join(argv), *_call(cli, argv, src))
+            grid = oracle.default_grid()
+            points = grid.points()
+            raster_grid = oracle.GridSpec(grid.re_min, grid.re_max, grid.im_min, grid.im_max,
+                                          *SAMPLE_SHAPES[1])
+            for i, problem in enumerate(_mixed_systems(lexineq, seed)):
+                text = repr(problem)
+                codes, margins = oracle.problem_grid(problem, *points)
+                emit("mixed problem_grid", i, text, codes.tobytes(), margins.tobytes())
+                emit("mixed sample_raster", i, text,
+                     oracle.sample_raster(problem, raster_grid).cells.tobytes())
+                try:
+                    solution = solver.solve(problem)
+                except lexineq.LexineqError as exc:
+                    emit("mixed solve", i, text, repr(exc))
+                    continue
+                codes, margins = solver.solution_grid_margin(solution, *points)
+                emit("mixed solution_grid_margin", i, text, codes.tobytes(), margins.tobytes())
+                report = oracle.verify(problem, solution, grid)
+                emit("mixed verify", i, text, report.total, report.skipped_boundary,
+                     report.skipped_pole, report.passed, report.mismatches[:100])
 
 
 def _spawn(tree: str, out) -> subprocess.Popen:
