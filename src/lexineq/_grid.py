@@ -2,11 +2,11 @@
 
 The helpers in ``_kernels`` that do only ``+ - * /`` run unchanged on
 arrays, so this module adds only what arrays need: Smith's branch chosen
-lane by lane with ``np.where`` (:func:`cdiv`, and :func:`cdiv_real` for
-the real part alone), pole lanes kept in a mask, and one decision of the
-dictionary order on computed values, :func:`decide`, on lanes given flat
-or as rows and columns that broadcast to them.  Problems (``oracle``),
-regions and solutions (``solver``) all reach it alike: one value per
+lane by lane (:func:`cdiv`, and :func:`cdiv_real` for the real part
+alone), pole lanes kept in a mask, and one decision of the dictionary
+order on computed values, :func:`decide`, on the lanes that coordinates
+broadcast to (flat, or a row and a column), in their shape.  Problems
+(``oracle``), regions and solutions (``solver``) all reach it alike: one value per
 constraint, a problem's left-hand sides or regions' pulled-back probes
 minus their anchors, is >= 0 on a lane that is in.  The real parts
 decide first, by one rule, :func:`decide_real`, that runs unchanged on
@@ -35,10 +35,12 @@ def cdiv(ar, ai, br, bi):
     Zero-b lanes come out as nan for the caller to mask.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        wide = np.abs(br) >= np.abs(bi)
+        tall = ~(np.abs(br) >= np.abs(bi))  # a nan lane too, as in cdiv_real
         wr, wi = _kernels.cdiv_wide(ar, ai, br, bi)
         tr, ti = _kernels.cdiv_tall(ar, ai, br, bi)
-    return np.where(wide, wr, tr), np.where(wide, wi, ti)
+    np.copyto(wr, tr, where=tall)
+    np.copyto(wi, ti, where=tall)
+    return wr, wi
 
 
 def cdiv_real(ar, ai, br, bi):
@@ -168,7 +170,8 @@ def decide(reals, values, zr, zi, out=None, margins=False):
     value and the pole mask (None when no lane can be a pole) on the open
     lanes only, gathered flat, or on all lanes when all are open; a pole
     lane's code is POLE and its margin inf.  The codes go to ``out`` (as
-    many cells, of any shape, row-major) when given, else to a new array.
+    many cells, of any shape, row-major) when given, else to a new array
+    of the reals' shape, as do the margins.
     """
     inside, undecided = decide_real(reals)
     if out is None:
@@ -183,8 +186,9 @@ def decide(reals, values, zr, zi, out=None, margins=False):
     if idx.size:
         if idx.size == undecided.size:  # as in `0*Z >= 1i`: every lane, with no gather
             idx = slice(None)
-        else:  # gathered from a view of flat lanes, from a copy of broadcast ones
-            zr, zi = (np.broadcast_to(z, undecided.shape).reshape(-1)[idx] for z in (zr, zi))
+        else:  # gathered from a view of the lanes, by their indices along each axis
+            at = np.unravel_index(idx, undecided.shape)
+            zr, zi = (np.broadcast_to(z, undecided.shape)[at] for z in (zr, zi))
         lanes, pole = values(zr, zi)
         inside = functools.reduce(np.logical_and, (_kernels.at_least(vr, vi, 0.0, 0.0)
                                                    for vr, vi in lanes))

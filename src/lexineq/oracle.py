@@ -8,8 +8,9 @@ so any solver bug shows up as a disagreement when :func:`verify` sweeps
 a grid and compares both answers pointwise.
 
 :func:`verify` and :func:`sample_raster` walk a grid the same way, in
-pieces of at most ``_TILE_POINTS`` columns (:func:`_pieces`), whole
-rows of a piece at a time (:func:`_row_batches`), so that they hold no
+pieces of at most ``_TILE_POINTS`` columns (:func:`_pieces`), passing
+each batch of at most ``_TILE_POINTS`` lanes as a row of real parts and
+a column of imaginary parts that broadcast to them, so that they hold no
 array longer than a tile, whatever the grid.
 
 Every array evaluation, of an inequality (a raster's, :func:`problem_grid`'s)
@@ -37,8 +38,8 @@ Probes too close to the order's decision boundary are excluded by that
 margin rather than asserted: two different but mathematically equivalent
 float computations may legitimately round to different sides there.
 
-numpy is imported by the array functions only (grid axes, points and
-tiles, :class:`Bitmap` writers, :func:`problem_grid`, :func:`verify`,
+numpy is imported by the array functions only (grid axes and points,
+:class:`Bitmap` writers, :func:`problem_grid`, :func:`verify`,
 :func:`sample_raster`), so :func:`eval_direct`, :func:`boundary_margin`
 and the scalar commands built on them start without it.  So are the
 region algebra and the solver, which only :func:`verify` and a raster
@@ -139,29 +140,14 @@ class GridSpec:
         return _axis(self.im_min, self.im_max, self.ny, 0, self.ny)
 
     def points(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flat coordinate arrays, row-major: imaginary axis outer, real inner."""
+        """Flat coordinate arrays, row-major: imaginary axis outer, real inner:
+        the lanes that the real axis as a row and the imaginary one as a
+        column broadcast to, copied."""
         import numpy as np
 
-        re = self.re_axis()
-        im = self.im_axis()
-        zr = np.tile(re, self.ny)
-        zi = np.repeat(im, self.nx)
-        return zr, zi
-
-    def tiles(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """The points of :meth:`points` in blocks of at most ``_TILE_POINTS``.
-
-        A block holds whole rows when a row fits in a tile, and part of
-        one row otherwise.  Yields ``(start, zr, zi)``, where ``start``
-        is the flat index of the block's first point; concatenated in
-        order, the blocks equal :meth:`points` bit for bit.  The ``zr``
-        arrays are read-only.
-        """
-        # a split row is a piece of its own, so the blocks come in grid order
-        rows = 1 if self.nx > _TILE_POINTS else self.ny
-        for r0, c0, xs, ys in _pieces(self, rows):
-            for i, zr, zi in _row_batches(xs, ys):
-                yield (r0 + i) * self.nx + c0, zr, zi
+        shape = (self.ny, self.nx)
+        return (np.broadcast_to(self.re_axis(), shape).ravel(),
+                np.broadcast_to(self.im_axis()[:, None], shape).ravel())
 
     @property
     def cell_diagonal(self) -> float:
@@ -194,21 +180,6 @@ def _pieces(grid: GridSpec, rows: int) -> Iterator[tuple[int, int, np.ndarray, n
         ys = _axis(grid.im_min, grid.im_max, grid.ny, r0, min(r0 + rows, grid.ny))
         for c0 in range(0, grid.nx, cols):
             yield r0, c0, _axis(grid.re_min, grid.re_max, grid.nx, c0, min(c0 + cols, grid.nx)), ys
-
-
-def _row_batches(xs: np.ndarray, ys: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """The lanes of a piece, whole rows at a time, at most ``_TILE_POINTS`` at
-    once: ``(i, zr, zi)``, the first row in the piece and the row-major
-    coordinates of each batch, ``zr`` a read-only view of one tiling of xs."""
-    import numpy as np
-
-    w = xs.shape[0]
-    k = _TILE_POINTS // w
-    tiled = np.tile(xs, min(k, ys.shape[0]))
-    tiled.flags.writeable = False
-    for i in range(0, ys.shape[0], k):
-        y = ys[i:i + k]
-        yield i, tiled[:y.shape[0] * w], np.repeat(y, w)
 
 
 def default_grid() -> GridSpec:
@@ -404,10 +375,12 @@ def boundary_margin(problem: InequalityProblem, z: complex) -> float:
 
 def problem_grid(problem: InequalityProblem, zr: np.ndarray,
                  zi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized direct evaluation at flat lanes zr + zi*i: (membership codes, margins).
+    """Vectorized direct evaluation at the lanes zr + zi*i: (membership codes, margins).
 
-    Decides the lanes as a raster does (:func:`_decide_lanes`), with the
-    codes of :func:`eval_direct`, bit for bit.  The margins are
+    ``zr`` and ``zi`` broadcast to the lanes (flat, or a row and a column),
+    and the results come in their shape.  Decides the lanes as a raster
+    does (:func:`_decide_lanes`), with the codes of :func:`eval_direct`,
+    bit for bit.  The margins are
     :func:`boundary_margin` at each probe, and infinite at a pole.  A
     sub-ulp real residue thus reports a tiny margin, marking the decision
     as resting on rounding noise; :func:`verify` skips such probes.
@@ -444,8 +417,9 @@ def verify(problem: InequalityProblem, solution: SolutionSet,
     last-ulp residue of either sign.  Every other probe must match
     exactly; mismatches are counted, and the first ``_MISMATCH_CAP`` kept
     in grid order.  A sweep that asserted no probe fails too: it would
-    pass whatever the solution.  The grid is swept one tile of
-    :meth:`GridSpec.tiles` at a time.
+    pass whatever the solution.  The grid is swept one piece of at most
+    ``_TILE_POINTS`` lanes at a time (:func:`_pieces`), in grid order:
+    whole rows when a row fits in a tile, else part of one row.
     """
     import numpy as np
 
@@ -457,9 +431,9 @@ def verify(problem: InequalityProblem, solution: SolutionSet,
         raise ValueError("eps must be positive")
     skipped_boundary = skipped_pole = mismatch_count = 0
     mismatches = []
-    for _, zr, zi in grid.tiles():
-        direct, margins_direct = problem_grid(problem, zr, zi)
-        got, margins_solution = solution_grid_margin(solution, zr, zi)
+    for _, _, xs, ys in _pieces(grid, _TILE_POINTS // min(grid.nx, _TILE_POINTS)):
+        direct, margins_direct = problem_grid(problem, xs[None, :], ys[:, None])
+        got, margins_solution = solution_grid_margin(solution, xs[None, :], ys[:, None])
         margins = np.minimum(margins_direct, margins_solution)
 
         pole = direct == _kernels.POLE
@@ -470,9 +444,11 @@ def verify(problem: InequalityProblem, solution: SolutionSet,
         skipped_boundary += int(np.count_nonzero(boundary))
         skipped_pole += int(np.count_nonzero(pole))
         mismatch_count += bad.shape[0]
+        w = xs.shape[0]
         mismatches.extend(
-            Mismatch(complex(zr[i], zi[i]), Membership(int(direct[i])), Membership(int(got[i])))
-            for i in bad[:_MISMATCH_CAP - len(mismatches)]
+            Mismatch(complex(xs[j % w], ys[j // w]), Membership(int(direct.flat[j])),
+                     Membership(int(got.flat[j])))
+            for j in bad[:_MISMATCH_CAP - len(mismatches)]
         )
     total = grid.nx * grid.ny
     return VerificationReport(
@@ -493,10 +469,10 @@ def sample_raster(source: Region | InequalityProblem, grid: GridSpec) -> Bitmap:
     margins :func:`problem_grid` also reports are not.  The grid is
     walked piece by piece (:func:`_pieces`).  A raster of an inequality
     first settles whole blocks of a piece from bounds of the computed
-    real parts (:func:`_fill_blocks`); every other piece is filled whole rows
-    at a time.  Its lanes are decided as :func:`problem_grid` decides
-    them (:func:`_decide_lanes`), and a region's as a one-region
-    solution's (``solver._decide_lanes``).
+    real parts (:func:`_fill_blocks`); every other piece is filled as many
+    whole rows at a time as fit in a tile.  Its lanes are decided as
+    :func:`problem_grid` decides them (:func:`_decide_lanes`), and a
+    region's as a one-region solution's (``solver._decide_lanes``).
     """
     import numpy as np
 
@@ -520,10 +496,12 @@ def sample_raster(source: Region | InequalityProblem, grid: GridSpec) -> Bitmap:
     for r0, c0, xs, ys in _pieces(grid, rows):
         if bounded and _fill_blocks(source, view, r0, c0, xs, ys):
             continue
-        w = xs.shape[0]
-        for i, zr, zi in _row_batches(xs, ys):
-            # the codes of a batch's lanes go straight to its rows of the raster
-            decide(source, zr, zi, view[r0 + i:r0 + i + zr.shape[0] // w, c0:c0 + w])
+        piece = view[r0:r0 + ys.shape[0], c0:c0 + xs.shape[0]]
+        k = _TILE_POINTS // xs.shape[0]
+        for i in range(0, ys.shape[0], k):
+            # k rows of lanes, broadcast from the piece's row of xs and
+            # column of ys; their codes go straight to the raster
+            decide(source, xs[None, :], ys[i:i + k, None], piece[i:i + k])
     return Bitmap(grid=grid, cells=cells)
 
 

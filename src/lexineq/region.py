@@ -189,31 +189,35 @@ def _value_lanes(region: Region, zr: np.ndarray, zi: np.ndarray):
     anchor: floats subtract to 0 only when equal, and to a signed inf on
     overflow, so the value is >= 0 exactly where ``contains`` says IN.
     ``pole`` marks the lanes at an inversion's pole; None if none inverts.
+    All three are new arrays in the shape of the lanes that zr and zi
+    broadcast to, also where the chain never mixes the coordinates.
     """
     import numpy as np
 
     from . import _grid
 
+    shape = np.broadcast_shapes(zr.shape, zi.shape)
     pole = None
     if any(isinstance(t, Invert) for t in region.transforms):
-        pole = np.zeros(zr.shape, dtype=bool)
+        pole = np.zeros(shape, dtype=bool)
 
     def invert(wr, wi):
         pole[(wr == 0.0) & (wi == 0.0)] = True
         return _grid.cdiv(1.0, 0.0, wr, wi)
 
+    def minus(w, a):  # into the chain's own array where it made one of every lane
+        own = region.transforms and w.shape == shape
+        return np.subtract(w, a, out=w if own else np.empty(shape))
+
     wr, wi = pull_back(region, zr, zi, invert)
-    out = (wr, wi) if region.transforms else (None, None)  # the chain made new arrays
     with np.errstate(over="ignore"):
-        return (np.subtract(wr, region.base.real, out=out[0]),
-                np.subtract(wi, region.base.imag, out=out[1])), pole
+        return (minus(wr, region.base.real), minus(wi, region.base.imag)), pole
 
 
 def membership_grid(region: Region, zr: np.ndarray, zi: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`contains` over flat coordinate arrays.
-
-    Returns uint8 codes (see :class:`Membership`), bit-identical to the
-    scalar path: those of the one-region solution (``solver.solution_grid``).
+    """Vectorized :func:`contains` at the lanes zr + zi*i, shaped as in
+    ``solver.solution_grid``: uint8 codes (see :class:`Membership`),
+    bit-identical to the scalar path, those of the one-region solution.
     """
     from .solver import SolutionSet, solution_grid
 

@@ -259,7 +259,8 @@ def solution_contains(solution: SolutionSet, z: complex) -> Membership:
 
 
 def solution_grid(solution: SolutionSet, zr: np.ndarray, zi: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`solution_contains` over flat coordinate arrays."""
+    """Vectorized :func:`solution_contains` at the lanes zr + zi*i, to which
+    zr and zi broadcast (flat, or a row and a column), in their shape."""
     return _decide_lanes(solution, zr, zi)[0]
 
 
@@ -270,7 +271,7 @@ def solution_grid_margin(solution: SolutionSet, zr: np.ndarray,
     The margin is the tie margin of each region's value, its pulled-back
     probe minus its base anchor (smallest constituent for an
     intersection); constant solutions and pole points report an
-    infinite margin.
+    infinite margin.  Lanes and shapes are those of :func:`solution_grid`.
     """
     return _decide_lanes(solution, zr, zi, margins=True)
 
@@ -291,7 +292,7 @@ def _decide_lanes(solution: SolutionSet, zr, zi, out: np.ndarray | None = None,
 
 
 def _solution_lanes(solution: SolutionSet, zr, zi):
-    """The regions as constraints on float64 lanes: ``(values, pole)``.
+    """The regions as constraints on float64 lanes, in their shape: ``(values, pole)``.
 
     ``values`` holds each region's value pair (``region._value_lanes``);
     a constant solution's one pair is (inf, inf) if ALL, else (-inf, -inf):
@@ -308,7 +309,8 @@ def _solution_lanes(solution: SolutionSet, zr, zi):
     values = [value for value, _ in lanes]
     masks = [mask for _, mask in lanes if mask is not None]
     if not values:
-        constant = np.full(zr.shape, np.inf if solution.kind is SolutionKind.ALL else -np.inf)
+        constant = np.full(np.broadcast_shapes(zr.shape, zi.shape),
+                           np.inf if solution.kind is SolutionKind.ALL else -np.inf)
         values = [(constant, constant)]
     for p in solution.excluded_points:
         masks.append((zr == p.real) & (zi == p.imag))

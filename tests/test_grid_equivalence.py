@@ -421,6 +421,24 @@ class TestBroadcastLanes:
             assert 0 < np.count_nonzero(undecided) < undecided.size
             assert Membership.POLE in codes
 
+    @pytest.mark.parametrize("name", TIED)
+    def test_axes_match_points(self, name):
+        # LATTICE's axes, a row of re and a column of im, broadcast to its
+        # lanes, as verify and a raster pass them; codes and margins come
+        # in that shape, bit for bit those of the lanes passed flat, which
+        # come flat
+        problem = TIED[name]
+        solution = solve(problem)
+        axes = LATTICE.re_axis()[None, :], LATTICE.im_axis()[:, None]
+        for lanes in (lambda zr, zi: problem_grid(problem, zr, zi),
+                      lambda zr, zi: solution_grid_margin(solution, zr, zi)):
+            codes, margins = lanes(*axes)
+            expected, expected_margins = lanes(*LATTICE.points())
+            assert codes.shape == margins.shape == (LATTICE.ny, LATTICE.nx)
+            assert expected.shape == expected_margins.shape == (LATTICE.ny * LATTICE.nx,)
+            assert codes.tobytes() == expected.tobytes()
+            assert margins.tobytes() == expected_margins.tobytes()
+
 
 def _block_ranges(grid):
     """``(lo, hi)`` ranges of the coordinates of a grid's blocks, x and y."""

@@ -14,8 +14,11 @@ in ``SEEDS``:
   codes and margin bytes of ``oracle.problem_grid`` and of
   ``solver.solution_grid_margin`` on the default verification grid (no
   CLI output shows a margin, except through the counts of ``verify``),
-  and the ``sample_raster`` cells of each solution region at 257 x 193,
-  over the ``raster-write`` corpus;
+  the ``sample_raster`` cells of each solution region at 257 x 193, and
+  the ``verify`` report on a grid of rows longer than a tile
+  (``WIDE_SHAPE``), against the problem's solution and against the
+  previous problem's, and against the previous problem's on the default
+  grid, whose pieces hold many rows, over the ``raster-write`` corpus;
 * every ``cli-cold`` call (``solve``, ``solve --verify``, ``check``,
   ``laws`` and refused inputs);
 * ``MIXED_SYSTEMS`` seeded systems of 2-4 members of every class, built
@@ -23,7 +26,12 @@ in ``SEEDS``:
   with a fractional or quadratic member: the codes and margins of
   ``problem_grid`` and ``solution_grid_margin`` on the default grid, the
   ``sample_raster`` cells at 257 x 193 over its window, and the ``verify``
-  report.
+  report;
+* the ``sample_raster`` cells of the all-tied inequalities in ``TIED``
+  at both sample shapes;
+* the ``sample_raster`` cells at both sample shapes of ``REGIONS`` seeded
+  regions per seed whose chains never mix the coordinates: an empty one,
+  a translation and a dilation, each over a dyadic anchor.
 
 The commands run through ``cli.main`` in the subprocess, one call after
 another; a RuntimeWarning is shown once per call, as a fresh process
@@ -51,6 +59,9 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SEEDS = (0, 7)
 SAMPLE_SHAPES = ((1001, 1001), (257, 193))
 MIXED_SYSTEMS = 100  # per seed
+WIDE_SHAPE = (16390, 3)  # rows longer than a tile of 16384 points
+TIED = ("0*Z >= 1i", "Z/Z >= 1")  # a real part of 0 on every lane
+REGIONS = 20  # per seed and chain
 
 
 def _digest(*parts) -> str:
@@ -101,6 +112,27 @@ def _mixed_systems(lexineq, seed: int):
         yield lexineq.System(tuple(members))
 
 
+def _regions(lexineq, seed: int):
+    """``(name, region)``: regions of an empty, a translation and a dilation
+    chain over anchors and offsets in multiples of 1/8."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+
+    def dyadic():
+        return complex(*(rng.integers(-24, 25, 2) / 8.0))
+
+    for _ in range(REGIONS):
+        yield "empty", lexineq.Region(dyadic())
+        yield "translate", lexineq.Region(dyadic(), (lexineq.Translate(dyadic()),))
+        yield "scale", lexineq.Region(dyadic(), (lexineq.Scale(float(rng.integers(1, 17)) / 8.0),))
+
+
+def _report(report) -> tuple:
+    return (report.total, report.skipped_boundary, report.skipped_pole, report.mismatch_count,
+            report.passed, report.mismatches)
+
+
 def _worker() -> None:
     """Print the digest lines of the tree on PYTHONPATH, one seed after another."""
     src = os.environ["PYTHONPATH"].split(os.pathsep)[0]
@@ -121,6 +153,8 @@ def _worker() -> None:
                     emit(" ".join(["solve", *flags]), i, prob.text,
                          *_call(cli, ["solve", prob.text, *flags], src))
             raster = workloads.RasterWrite(seed, tmp, src)
+            wide = oracle.GridSpec(*workloads.inputs.WINDOW, *WIDE_SHAPE)
+            previous = solver.SolutionSet.empty()
             try:
                 for i, prob in enumerate(raster.corpus):
                     for fmt in ("pgm", "csv"):
@@ -146,6 +180,12 @@ def _worker() -> None:
                     for k, region in enumerate(solution.regions):
                         emit(f"sample_raster region {k}", i, prob.text,
                              oracle.sample_raster(region, grid).cells.tobytes())
+                    emit(f"verify {wide.nx}x{wide.ny}", i, prob.text,
+                         *_report(oracle.verify(problem, solution, wide)))
+                    for name, g in (("default grid", None), (f"{wide.nx}x{wide.ny}", wide)):
+                        emit(f"verify {name} previous solution", i, prob.text,
+                             *_report(oracle.verify(problem, previous, g)))
+                    previous = solution
             finally:
                 raster.close()
             for i, (slot, _, argv) in enumerate(workloads.CliCold(seed, tmp, src).calls):
@@ -167,9 +207,18 @@ def _worker() -> None:
                     continue
                 codes, margins = solver.solution_grid_margin(solution, *points)
                 emit("mixed solution_grid_margin", i, text, codes.tobytes(), margins.tobytes())
-                report = oracle.verify(problem, solution, grid)
-                emit("mixed verify", i, text, report.total, report.skipped_boundary,
-                     report.skipped_pole, report.passed, report.mismatches[:100])
+                emit("mixed verify", i, text, *_report(oracle.verify(problem, solution, grid)))
+            for i, text in enumerate(TIED):
+                problem, _ = normalize.classify_problem_ex(parser.parse_input(text))
+                for nx, ny in SAMPLE_SHAPES:
+                    grid = oracle.GridSpec(*workloads.inputs.WINDOW, nx, ny)
+                    emit(f"tied sample_raster {nx}x{ny}", i, text,
+                         oracle.sample_raster(problem, grid).cells.tobytes())
+            for i, (chain, region) in enumerate(_regions(lexineq, seed)):
+                for nx, ny in SAMPLE_SHAPES:
+                    grid = oracle.GridSpec(*workloads.inputs.WINDOW, nx, ny)
+                    emit(f"region sample_raster {chain} {nx}x{ny}", i, repr(region),
+                         oracle.sample_raster(region, grid).cells.tobytes())
 
 
 def _spawn(tree: str, out) -> subprocess.Popen:
